@@ -5,9 +5,10 @@ The scalar oracle (``simulate_rack_reference``) walks the trace one
 5-minute tick at a time; the fast path plans week/segment-sized NumPy
 blocks and falls back to scalar ticks only around warnings/caps.  Both
 paths are *bit-identical* (see tests/experiments/test_fastpath.py), so
-this benchmark times the same ``table1`` sweep three ways — scalar,
-vectorized, and vectorized through the process-pool harness — asserts
-all three produce equal scores, and records the speedup.
+this benchmark times the same Table-I (rack, policy) grid three ways —
+scalar, vectorized, and vectorized through the process-pool harness —
+asserts every (rack, policy) result is equal across all three, and
+records the speedup.
 
 The CI gate is 3x (shared runners are noisy); quiet machines record
 4-6x depending on load (the sweep includes SmartOClock+OSub, whose
@@ -17,12 +18,13 @@ ticks are the scalar-fallback path).
 
 import time
 
+from repro.core.policies import make_policy
 from repro.experiments.largescale import (
     TABLE1_POLICIES,
     cluster_class_fleets,
-    format_table1,
-    table1,
+    simulate_rack_reference,
 )
+from repro.experiments.parallel import run_rack_policy_jobs
 
 #: Same generator/seed family as the shared ``table1_results`` CI fleet,
 #: at a third of the racks: the scalar reference is what's being timed,
@@ -34,27 +36,33 @@ SEED = 1
 
 def test_vectorized_sweep_speedup(record_result):
     fleets = cluster_class_fleets(n_racks=N_RACKS, weeks=WEEKS, seed=SEED)
+    racks = [rack for fleet in fleets.values() for rack in fleet.racks]
 
     start = time.perf_counter()
-    vectorized = table1(fleets, fast=True, workers=1)
+    vectorized = run_rack_policy_jobs(racks, TABLE1_POLICIES, workers=1)
     vectorized_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    reference = table1(fleets, fast=False, workers=1)
+    reference = [{name: simulate_rack_reference(
+                      rack, make_policy(name, len(rack.servers)))
+                  for name in TABLE1_POLICIES}
+                 for rack in racks]
     reference_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    pooled = table1(fleets, fast=True, workers=2)
+    pooled = run_rack_policy_jobs(racks, TABLE1_POLICIES, workers=2)
     pooled_s = time.perf_counter() - start
 
-    # All three paths must agree exactly — same PolicyScores, same
-    # rendered table — before any timing is worth recording.
-    assert vectorized == reference
+    # All three paths must agree exactly — every (rack, policy)
+    # RackSimResult, field by field with == — before any timing is
+    # worth recording.
+    for r, rack_results in enumerate(reference):
+        for name in TABLE1_POLICIES:
+            assert vectorized[r][name] == rack_results[name], (r, name)
     assert pooled == vectorized
-    assert format_table1(pooled) == format_table1(reference)
 
     speedup = reference_s / vectorized_s
-    n_racks_total = sum(len(f.racks) for f in fleets.values())
+    n_racks_total = len(racks)
     print(f"\nTable-I sweep, {n_racks_total} racks x "
           f"{len(TABLE1_POLICIES)} policies x "
           f"{WEEKS} weeks: scalar {reference_s:.2f} s, "

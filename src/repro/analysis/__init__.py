@@ -16,12 +16,12 @@ invariants — the ones the test suite cannot see because they only break
   fields persist state the control plane never computed.
 * ``nondeterminism`` — all randomness must flow from an explicitly
   seeded :class:`numpy.random.Generator` and simulated time from the
-  event engine, never from the wall clock or global RNG state.
+  simulator's clock, never from the wall clock or global RNG state.
 * ``unit-mismatch`` — GHz/MHz/watts/seconds live in plain floats;
   the only guard against unit mixing is the ``_ghz``/``_watts``/…
   naming convention, which this rule checks at call sites.
-* ``handler-hygiene`` — event handlers must not share mutable default
-  arguments or reach into the engine's private event calendar.
+* ``handler-hygiene`` — no function (any may become a tick or accrual
+  callback) takes a mutable default argument.
 * ``untyped-def`` — every function is fully annotated (the local
   equivalent of mypy's ``disallow_untyped_defs`` gate).
 

@@ -11,8 +11,6 @@ with warning messages and prioritized throttling
 from repro.cluster.frequency import FrequencyPlan, DEFAULT_FREQUENCY_PLAN
 from repro.cluster.power import PowerModel, DEFAULT_POWER_MODEL
 from repro.cluster.topology import Core, Datacenter, Rack, Server, VirtualMachine
-from repro.cluster.containers import Container, ContainerHost
-from repro.cluster.gpu import GPU_FREQUENCY_PLAN, GPU_POWER_MODEL
 from repro.cluster.placement import (
     PlacementError,
     PowerAwarePlacer,
@@ -36,10 +34,6 @@ __all__ = [
     "Rack",
     "Server",
     "VirtualMachine",
-    "Container",
-    "ContainerHost",
-    "GPU_FREQUENCY_PLAN",
-    "GPU_POWER_MODEL",
     "PlacementError",
     "PowerAwarePlacer",
     "ResourceCentricPlacer",

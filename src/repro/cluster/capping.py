@@ -191,8 +191,7 @@ class RackPowerManager:
 
     Server agents subscribe with :meth:`on_warning` / :meth:`on_cap`.  The
     manager is sampled explicitly (``sample(now)``) by whatever drives time
-    (a :class:`~repro.sim.events.PeriodicTask` in the DES experiments, the
-    tick loop in the trace-driven simulator).
+    (the platform tick, or the tick loop in the trace-driven simulator).
     """
 
     def __init__(self, rack: Rack, *, warning_fraction: float = 0.95,

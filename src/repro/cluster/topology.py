@@ -7,13 +7,13 @@ points, and utilization, and can report power through a
 overclock, how budgets are split) lives in :mod:`repro.core`.
 
 Power accounting is *incremental*: every mutation that can change a
-server's draw (placement, frequency, utilization, per-core overrides)
-applies a watt delta to the owning server's cached total, and the delta
-propagates up through the rack to the datacenter.  ``power_watts()`` at
-every level is therefore an O(1) read — the property the capping and
-enforcement loops rely on to poll power once per 100 MHz step (see
-DESIGN.md "Incremental power accounting").  ``recompute_power_watts()``
-is the from-scratch evaluation kept for validation.
+server's draw (placement, frequency, utilization) applies a watt delta
+to the owning server's cached total, and the delta propagates up
+through the rack to the datacenter.  ``power_watts()`` at every level
+is therefore an O(1) read — the property the capping and enforcement
+loops rely on to poll power once per 100 MHz step (see DESIGN.md
+"Incremental power accounting").  ``recompute_power_watts()`` is the
+from-scratch evaluation kept for validation.
 """
 
 from __future__ import annotations
@@ -32,33 +32,26 @@ _vm_ids = itertools.count()
 class Core:
     """One physical core: operating point plus wear-relevant accounting.
 
-    ``utilization_override`` lets finer-grained schedulers (containers
-    inside a VM, SmartOClock paper section VI) pin a per-core utilization distinct from
-    the VM-level average; ``None`` means "use the VM's utilization".
-
-    ``freq_ghz``, ``vm_id`` and ``utilization_override`` are
+    A core runs at its VM's utilization.  ``freq_ghz`` and ``vm_id`` are
     invalidation-aware properties: writes notify the owning server so it
-    can delta-update its cached wattage (guest-side code such as
-    :mod:`repro.cluster.containers` mutates them directly), and they
-    first fold any pending lazy accrual in at the *old* operating point.
+    can delta-update its cached wattage, and they first fold any pending
+    lazy accrual in at the *old* operating point.
     ``busy_seconds``/``overclock_seconds`` likewise flush on read, so
     deferred accrual is invisible to every observer.
     """
 
     __slots__ = ("index", "_busy_seconds", "_overclock_seconds",
-                 "_freq_ghz", "_vm_id", "_utilization_override", "_server")
+                 "_freq_ghz", "_vm_id", "_server")
 
     def __init__(self, index: int, freq_ghz: float,
                  vm_id: Optional[int] = None,
                  busy_seconds: float = 0.0,
-                 overclock_seconds: float = 0.0,
-                 utilization_override: Optional[float] = None) -> None:
+                 overclock_seconds: float = 0.0) -> None:
         self.index = index
         self._busy_seconds = busy_seconds
         self._overclock_seconds = overclock_seconds
         self._freq_ghz = freq_ghz
         self._vm_id = vm_id
-        self._utilization_override = utilization_override
         self._server: Optional["Server"] = None
 
     @property
@@ -92,12 +85,11 @@ class Core:
         the left fold itself is replayed add-by-add to stay bit-identical
         with the eager per-tick loop.
         """
-        eff = self.effective_utilization(vm_utilization)
         overclocked = plan.is_overclocked(self._freq_ghz)
         busy = self._busy_seconds
         oc = self._overclock_seconds
         for dt, count in runs:
-            inc = eff * dt
+            inc = vm_utilization * dt
             for _ in itertools.repeat(None, int(count)):
                 busy += inc
                 if overclocked:
@@ -140,30 +132,8 @@ class Core:
         server._apply_core_delta(server._core_watts(self) - before)
 
     @property
-    def utilization_override(self) -> Optional[float]:
-        return self._utilization_override
-
-    @utilization_override.setter
-    def utilization_override(self, value: Optional[float]) -> None:
-        if value == self._utilization_override:
-            return
-        server = self._server
-        if server is None:
-            self._utilization_override = value
-            return
-        server._flush_accrual()
-        before = server._core_watts(self)
-        self._utilization_override = value
-        server._apply_core_delta(server._core_watts(self) - before)
-
-    @property
     def allocated(self) -> bool:
         return self._vm_id is not None
-
-    def effective_utilization(self, vm_utilization: float) -> float:
-        if self._utilization_override is None:
-            return vm_utilization
-        return self._utilization_override
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Core(index={self.index}, freq_ghz={self._freq_ghz}, "
@@ -309,7 +279,7 @@ class Server:
         if vm is None:
             return 0.0
         return self.power_model.core_dynamic_watts(
-            core.effective_utilization(vm._utilization), core._freq_ghz)
+            vm._utilization, core._freq_ghz)
 
     def _apply_core_delta(self, delta: float) -> None:
         """Fold a per-core watt change into this server's cached total and
@@ -369,7 +339,6 @@ class Server:
         for core in self._vm_cores[vm.vm_id]:
             core.vm_id = None
             core.freq_ghz = self.plan.turbo_ghz
-            core.utilization_override = None
         del self.vms[vm.vm_id]
         del self._vm_cores[vm.vm_id]
         vm.server = None
@@ -427,8 +396,7 @@ class Server:
         loads: list[tuple[float, float]] = []
         for vm in self.vms.values():
             for core in self._vm_cores[vm.vm_id]:
-                loads.append((core.effective_utilization(vm.utilization),
-                              core.freq_ghz))
+                loads.append((vm.utilization, core.freq_ghz))
         return loads
 
     def power_watts(self) -> float:
@@ -477,8 +445,7 @@ class Server:
             plan = self.plan
             for vm in self.vms.values():
                 for core in self._vm_cores[vm.vm_id]:
-                    core.busy_seconds += core.effective_utilization(
-                        vm.utilization) * dt
+                    core.busy_seconds += vm.utilization * dt
                     if plan.is_overclocked(core.freq_ghz):
                         core.overclock_seconds += dt
             return

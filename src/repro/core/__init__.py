@@ -38,11 +38,6 @@ from repro.core.workload_intelligence import (
     OverclockSchedule,
 )
 from repro.core.platform import SmartOClockPlatform
-from repro.core.threshold_inference import (
-    InferredThresholds,
-    estimate_overclock_impact,
-    infer_trigger_policy,
-)
 
 __all__ = [
     "SmartOClockConfig",
@@ -65,7 +60,4 @@ __all__ = [
     "LocalWIAgent",
     "GlobalWIAgent",
     "SmartOClockPlatform",
-    "InferredThresholds",
-    "estimate_overclock_impact",
-    "infer_trigger_policy",
 ]

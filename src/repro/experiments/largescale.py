@@ -21,9 +21,10 @@ Two implementations share those semantics (DESIGN.md "Performance
 architecture"):
 
 * :func:`simulate_rack_reference` — the scalar oracle: one Python
-  iteration per tick, exactly the semantics above.
-* :func:`simulate_rack` (default ``fast=True``) — the vectorized fast
-  path: policies pre-plan segments of decisions
+  iteration per tick, exactly the semantics above.  Only tests and
+  benchmarks call it.
+* :func:`simulate_rack` — the production path, vectorized: policies
+  pre-plan segments of decisions
   (:meth:`~repro.core.policies.TracePolicy.plan_segment`), the engine
   computes whole segments with NumPy and scans for the first tick that
   crosses ``warning_watts`` (or where a stateful policy could diverge);
@@ -583,19 +584,12 @@ def _run_week_fast(view: RackWeekView, policy: TracePolicy,
 def simulate_rack(rack: RackTrace, policy: TracePolicy, *,
                   power_model: PowerModel = DEFAULT_POWER_MODEL,
                   warning_fraction: float = 0.95,
-                  target_freq_ghz: float = 4.0,
-                  fast: bool = True) -> RackSimResult:
+                  target_freq_ghz: float = 4.0) -> RackSimResult:
     """Run ``policy`` over ``rack``'s trace; scores weeks 2..N (week 1 is
     the policy's first history window).
 
-    ``fast=True`` (default) runs the vectorized fast path — bit-identical
-    counters to :func:`simulate_rack_reference`, which ``fast=False``
-    selects explicitly."""
-    if not fast:
-        return simulate_rack_reference(
-            rack, policy, power_model=power_model,
-            warning_fraction=warning_fraction,
-            target_freq_ghz=target_freq_ghz)
+    Vectorized fast path — bit-identical counters to
+    :func:`simulate_rack_reference`."""
     setup, result = _prepare(rack, policy, power_model, warning_fraction,
                              target_freq_ghz)
     # Tick-major (C-contiguous) copies: row k is tick k's server vector,
@@ -749,8 +743,7 @@ def _aggregate_scores(
 def compare_policies(fleet: SyntheticFleet,
                      policy_names: Sequence[str] = TABLE1_POLICIES, *,
                      power_model: PowerModel = DEFAULT_POWER_MODEL,
-                     workers: Optional[int] = 1,
-                     fast: bool = True) -> dict[str, PolicyScore]:
+                     workers: Optional[int] = 1) -> dict[str, PolicyScore]:
     """Run every policy over every rack of a fleet and aggregate.
 
     ``workers=1`` runs serially in-process; ``workers=N`` (or None →
@@ -760,7 +753,7 @@ def compare_policies(fleet: SyntheticFleet,
     names = tuple(policy_names)
     per_rack = run_rack_policy_jobs(fleet.racks, names,
                                     power_model=power_model,
-                                    workers=workers, fast=fast)
+                                    workers=workers)
     raw: dict[str, list[RackSimResult]] = {name: [] for name in names}
     for rack_results in per_rack:
         for name in names:
@@ -772,7 +765,7 @@ def compare_policies_streaming(
         config: FleetConfig,
         policy_names: Sequence[str] = TABLE1_POLICIES, *,
         power_model: PowerModel = DEFAULT_POWER_MODEL,
-        workers: Optional[int] = 1, fast: bool = True,
+        workers: Optional[int] = 1,
         max_inflight: Optional[int] = None) -> dict[str, PolicyScore]:
     """Sweep the fleet ``config`` describes without materializing it.
 
@@ -792,7 +785,7 @@ def compare_policies_streaming(
     accs = {name: PolicyAccumulator(policy=name) for name in names}
     for _rack_slot, name, result in iter_rack_policy_results(
             specs, names, power_model=power_model, workers=workers,
-            fast=fast, max_inflight=max_inflight):
+            max_inflight=max_inflight):
         accs[name].add(result)
     return _finalize_scores(accs)
 
@@ -832,8 +825,8 @@ def cluster_class_fleets(*, n_racks: int = 12, weeks: int = 2,
 
 def table1(fleets: dict[str, SyntheticFleet], *,
            power_model: PowerModel = DEFAULT_POWER_MODEL,
-           workers: Optional[int] = 1,
-           fast: bool = True) -> dict[str, dict[str, PolicyScore]]:
+           workers: Optional[int] = 1
+           ) -> dict[str, dict[str, PolicyScore]]:
     """Full Table I: per cluster class, per policy.
 
     With ``workers`` > 1 the whole (fleet, rack, policy) grid shares one
@@ -843,7 +836,7 @@ def table1(fleets: dict[str, SyntheticFleet], *,
     racks = [rack for fleet in fleets.values() for rack in fleet.racks]
     per_rack = run_rack_policy_jobs(racks, TABLE1_POLICIES,
                                     power_model=power_model,
-                                    workers=workers, fast=fast)
+                                    workers=workers)
     results: dict[str, dict[str, PolicyScore]] = {}
     offset = 0
     for name, fleet in fleets.items():
@@ -859,7 +852,7 @@ def table1(fleets: dict[str, SyntheticFleet], *,
 
 def table1_streaming(configs: dict[str, FleetConfig], *,
                      power_model: PowerModel = DEFAULT_POWER_MODEL,
-                     workers: Optional[int] = 1, fast: bool = True,
+                     workers: Optional[int] = 1,
                      max_inflight: Optional[int] = None
                      ) -> dict[str, dict[str, PolicyScore]]:
     """Full Table I without materializing any fleet.
@@ -889,7 +882,7 @@ def table1_streaming(configs: dict[str, FleetConfig], *,
     fleet_idx = 0
     for rack_slot, policy, result in iter_rack_policy_results(
             specs, TABLE1_POLICIES, power_model=power_model,
-            workers=workers, fast=fast, max_inflight=max_inflight):
+            workers=workers, max_inflight=max_inflight):
         # Results arrive slot-ordered, so the owning fleet only ever
         # advances — no per-result search needed.
         while rack_slot >= bounds[fleet_idx]:

@@ -32,6 +32,7 @@ variants.  Design constraints (DESIGN.md "Performance architecture"):
 
 from __future__ import annotations
 
+import gc
 import os
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -105,7 +106,6 @@ class RackPolicyJob:
     slot: int
     policy: str
     rack: RackSource
-    fast: bool
 
 
 # Per-worker state installed by the pool initializer / warmed lazily.
@@ -145,8 +145,7 @@ def _run_job(job: RackPolicyJob) -> "tuple[int, RackSimResult]":
         raise RuntimeError("worker used before its initializer ran")
     trace = _expand(job.rack, power_model)
     policy = make_policy(job.policy, len(trace.servers))
-    result = simulate_rack(trace, policy, power_model=power_model,
-                           fast=job.fast)
+    result = simulate_rack(trace, policy, power_model=power_model)
     return job.slot, result
 
 
@@ -184,7 +183,16 @@ def run_jobs(fn: "Callable[[_P], _R]", payloads: "Iterable[_P]", *,
     items = list(payloads)
     n_workers = resolve_workers(workers)
     if n_workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        results: "list[_R]" = []
+        for item in items:
+            results.append(fn(item))
+            # A finished job's platform is cyclic (Core._server <->
+            # Server.cores, bound-method accrual and flush hooks), so
+            # reference counting never frees it.  Collect here so peak
+            # memory does not depend on when a full collection happens
+            # to fire.
+            gc.collect()
+        return results
     with ProcessPoolExecutor(max_workers=min(n_workers, len(items)),
                              mp_context=get_context("spawn")) as pool:
         futures = [pool.submit(fn, item) for item in items]
@@ -200,7 +208,7 @@ def run_jobs(fn: "Callable[[_P], _R]", payloads: "Iterable[_P]", *,
 def iter_rack_policy_results(
         racks: Iterable[RackSource], policy_names: Sequence[str], *,
         power_model: PowerModel = DEFAULT_POWER_MODEL,
-        workers: Optional[int] = 1, fast: bool = True,
+        workers: Optional[int] = 1,
         max_inflight: Optional[int] = None,
 ) -> "Iterator[tuple[int, str, RackSimResult]]":
     """Simulate the (rack, policy) grid, yielding ``(rack_slot,
@@ -230,14 +238,14 @@ def iter_rack_policy_results(
             for name in names:
                 policy = make_policy(name, len(trace.servers))
                 yield rack_slot, name, simulate_rack(
-                    trace, policy, power_model=power_model, fast=fast)
+                    trace, policy, power_model=power_model)
         return
 
     window = max_inflight if max_inflight is not None else 4 * n_workers
     if window < 1:
         raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
     jobs = (RackPolicyJob(slot=rack_slot * len(names) + j, policy=name,
-                          rack=rack, fast=fast)
+                          rack=rack)
             for rack_slot, rack in enumerate(racks)
             for j, name in enumerate(names))
 
@@ -287,7 +295,7 @@ def iter_rack_policy_results(
 def run_rack_policy_jobs(
         racks: Sequence[RackSource], policy_names: Sequence[str], *,
         power_model: PowerModel = DEFAULT_POWER_MODEL,
-        workers: Optional[int] = 1, fast: bool = True,
+        workers: Optional[int] = 1,
         max_inflight: Optional[int] = None,
 ) -> "list[dict[str, RackSimResult]]":
     """Simulate every (rack, policy) pair and collect everything.
@@ -300,6 +308,6 @@ def run_rack_policy_jobs(
     merged: "list[dict[str, RackSimResult]]" = [{} for _ in racks]
     for rack_slot, name, result in iter_rack_policy_results(
             racks, policy_names, power_model=power_model, workers=workers,
-            fast=fast, max_inflight=max_inflight):
+            max_inflight=max_inflight):
         merged[rack_slot][name] = result
     return merged

@@ -1,14 +1,15 @@
-"""Discrete-event simulation substrate.
+"""Measurement and checking support shared by both simulators.
 
-This package provides the simulation engine used by every experiment in the
-reproduction: an event queue with a virtual clock (:mod:`repro.sim.engine`),
-typed events and periodic processes (:mod:`repro.sim.events`), and metric
-collectors for percentiles, CDFs, RMSE and time-weighted averages
-(:mod:`repro.sim.metrics`).
+The reproduction has two time-stepped simulators, and no event engine:
+the trace-driven fleet sweep behind Table I and Fig. 15
+(:mod:`repro.experiments.largescale`) and the tick-driven gOA/sOA
+platform (:class:`repro.core.platform.SmartOClockPlatform`).  This
+package holds what they measure with: metric collectors for
+percentiles, CDFs, RMSE and time-weighted averages
+(:mod:`repro.sim.metrics`), and the per-tick safety-invariant monitor
+used by chaos runs (:mod:`repro.sim.monitors`).
 """
 
-from repro.sim.engine import Event, SimulationEngine, Process
-from repro.sim.events import PeriodicTask, at_times
 from repro.sim.metrics import (
     Cdf,
     Histogram,
@@ -19,11 +20,6 @@ from repro.sim.metrics import (
 )
 
 __all__ = [
-    "Event",
-    "SimulationEngine",
-    "Process",
-    "PeriodicTask",
-    "at_times",
     "Cdf",
     "Histogram",
     "RunningStats",

@@ -1,7 +1,7 @@
 """Equivalence tests for the incremental power-accounting layer.
 
 Every mutation path through the topology (placement, frequency steps,
-utilization writes, per-core overrides, core reassignment, cap/restore
+utilization writes, core reassignment, cap/restore
 cycles) delta-updates the cached server/rack/datacenter wattage; these
 tests assert the caches always agree with a from-scratch per-core
 recompute, including after long randomized mutation sequences.
@@ -12,7 +12,6 @@ import random
 import pytest
 
 from repro.cluster.capping import RackPowerManager
-from repro.cluster.containers import Container, ContainerHost
 from repro.cluster.frequency import FrequencyPlan
 from repro.cluster.power import DEFAULT_POWER_MODEL, PowerModel
 from repro.cluster.topology import Datacenter, Rack, Server, VirtualMachine
@@ -74,10 +73,6 @@ class TestDeterministicPaths:
         server = dc.find_server("r0-s0")
         vm = VirtualMachine(4, utilization=0.5)
         server.place_vm(vm)
-        cores = server.vm_cores(vm)
-        cores[0].utilization_override = 1.0
-        assert_in_sync(dc)
-        cores[1].utilization_override = 0.0
         assert_in_sync(dc)
         new_cores = [c for c in server.cores if not c.allocated][-4:]
         server.reassign_vm_cores(vm, new_cores)
@@ -89,23 +84,6 @@ class TestDeterministicPaths:
         server.background_watts = 25.0
         assert_in_sync(dc)
         server.background_watts = 5.0
-        assert_in_sync(dc)
-
-    def test_container_host_operations(self):
-        dc = build_dc()
-        server = dc.find_server("r0-s0")
-        vm = VirtualMachine(8, utilization=0.6)
-        server.place_vm(vm)
-        host = ContainerHost(vm, server)
-        host.add_container(Container("web", 4, utilization=0.8))
-        assert_in_sync(dc)
-        host.boost_container("web", 4.0)
-        assert_in_sync(dc)
-        host.set_container_utilization("web", 0.3)
-        assert_in_sync(dc)
-        host.unboost_container("web")
-        assert_in_sync(dc)
-        host.remove_container("web")
         assert_in_sync(dc)
 
     def test_cap_and_restore_cycle(self):
@@ -170,14 +148,6 @@ def test_randomized_mutation_sequence_stays_in_sync(seed):
             return
         rng.choice(placed).utilization = rng.random()
 
-    def op_core_override():
-        if not placed:
-            return
-        vm = rng.choice(placed)
-        core = rng.choice(vm.server.vm_cores(vm))
-        core.utilization_override = (None if rng.random() < 0.3
-                                     else rng.random())
-
     def op_reassign():
         if not placed:
             return
@@ -197,8 +167,7 @@ def test_randomized_mutation_sequence_stays_in_sync(seed):
             manager.sample(now=rng.random() * 1e4)
 
     ops = [op_place, op_place, op_remove, op_set_frequency, op_set_frequency,
-           op_set_utilization, op_set_utilization, op_core_override,
-           op_reassign, op_background, op_sample]
+           op_set_utilization, op_set_utilization, op_reassign, op_background, op_sample]
     for _ in range(400):
         rng.choice(ops)()
         assert_in_sync(dc)

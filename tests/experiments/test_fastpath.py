@@ -56,10 +56,10 @@ class TestBitIdentical:
             or policy_name == "Central"
         assert_bit_identical(fast, ref)
 
-    def test_fast_false_dispatches_to_reference(self):
+    def test_default_rack_matches_reference(self):
         rack = make_rack(3)
         a = simulate_rack(rack, make_policy("SmartOClock",
-                                            len(rack.servers)), fast=False)
+                                            len(rack.servers)))
         b = simulate_rack_reference(rack, make_policy("SmartOClock",
                                                       len(rack.servers)))
         assert_bit_identical(a, b)

@@ -5,11 +5,16 @@ start method — the same code path the CI perf smoke job uses), so they
 are kept small: two racks, two policies, coarse telemetry.
 """
 
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.cluster.power import DEFAULT_POWER_MODEL
+from repro.cluster.topology import Datacenter, Rack, Server, VirtualMachine
+from repro.core.platform import SmartOClockPlatform
 from repro.experiments.largescale import (
     compare_policies,
     compare_policies_streaming,
@@ -20,6 +25,7 @@ from repro.experiments.parallel import (
     RackSpec,
     iter_rack_policy_results,
     resolve_workers,
+    run_jobs,
     run_rack_policy_jobs,
 )
 from repro.traces.synthetic import (
@@ -217,3 +223,34 @@ class TestFailFast:
                 seen.append((rack_slot, name))
         # Slot order means nothing after the poisoned slot was emitted.
         assert all(name == "Central" for _slot, name in seen)
+
+
+def _platform_job(seed):
+    """Build and tick a one-server platform; hand back only a weak
+    reference to its server."""
+    rack = Rack(f"r{seed}", 2000.0)
+    server = Server(f"s{seed}", DEFAULT_POWER_MODEL)
+    rack.add_server(server)
+    dc = Datacenter()
+    dc.add_rack(rack)
+    platform = SmartOClockPlatform(dc)
+    server.place_vm(VirtualMachine(4, utilization=0.5))
+    platform.tick(0.0, 10.0)
+    return weakref.ref(server)
+
+
+class TestSerialJobsFreed:
+    def test_finished_platforms_are_collected(self):
+        """A finished job's platform is reference-cyclic; the serial loop
+        must free it even when automatic collection never fires."""
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            refs = run_jobs(_platform_job, [0, 1], workers=1)
+            # Checked before re-enabling: an automatic collection could
+            # otherwise free the platforms and hide a leak.
+            alive = [ref() is not None for ref in refs]
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert alive == [False, False]

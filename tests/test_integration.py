@@ -11,8 +11,6 @@ from repro.core.workload_intelligence import (
     MetricsTriggerPolicy,
     OverclockSchedule,
 )
-from repro.sim.engine import SimulationEngine
-from repro.sim.events import PeriodicTask
 
 TURBO = DEFAULT_POWER_MODEL.plan.turbo_ghz
 MAX = DEFAULT_POWER_MODEL.plan.overclock_max_ghz
@@ -134,24 +132,6 @@ class TestPowerSafetyEndToEnd:
             platform.tick(i * 10.0, dt=10.0)
         rack = platform.datacenter.racks["r0"]
         assert rack.power_watts() <= rack.power_limit_watts + 1e-6
-
-
-class TestEngineDrivenPlatform:
-    def test_platform_on_simulation_engine(self):
-        """The platform composes with the DES engine via PeriodicTask."""
-        platform, servers = build()
-        vm = VirtualMachine(8, utilization=0.9)
-        servers[0].place_vm(vm)
-        service = platform.register_service(
-            "svc", metrics_policy=MetricsTriggerPolicy(consecutive=1))
-        platform.attach_vm("svc", vm)
-        engine = SimulationEngine()
-        PeriodicTask(engine, 10.0,
-                     lambda: platform.tick(engine.now, 10.0))
-        PeriodicTask(engine, 10.0,
-                     lambda: service.observe(engine.now, 9.0, 10.0))
-        engine.run(until=60.0)
-        assert vm.freq_ghz == pytest.approx(MAX)
 
 
 class TestTraceToPolicyPipeline:
