@@ -1,7 +1,7 @@
 """Macro-benchmark: lazy platform accounting vs the eager reference
 (ISSUE 10 tentpole).
 
-The eager oracle (``SmartOClockConfig(eager_accounting=True)``) runs the
+The eager oracle (``Server.eager_accounting = True``) runs the
 original per-tick loops: every ``Server.advance`` walks every VM and
 core, every sOA runs its full control tick, every channel pumps.  The
 lazy fast path coalesces accrual into change-point runs, skips control
@@ -53,11 +53,11 @@ def _build(eager: bool):
         rack = Rack(f"r{r}", 1.08 * N_SERVERS * busy_watts)
         for s in range(N_SERVERS):
             server = Server(f"r{r}s{s}", _MODEL)
+            server.eager_accounting = eager
             rack.add_server(server)
             servers.append(server)
         datacenter.add_rack(rack)
-    config = SmartOClockConfig(control_interval_s=TICK_S,
-                               eager_accounting=eager)
+    config = SmartOClockConfig(control_interval_s=TICK_S)
     platform = SmartOClockPlatform(datacenter, config)
     services = []
     for i, server in enumerate(servers):

@@ -22,8 +22,9 @@ invariants — the ones the test suite cannot see because they only break
   naming convention, which this rule checks at call sites.
 * ``handler-hygiene`` — no function (any may become a tick or accrual
   callback) takes a mutable default argument.
-* ``untyped-def`` — every function is fully annotated (the local
-  equivalent of mypy's ``disallow_untyped_defs`` gate).
+
+Full annotation is mypy's job (``disallow_untyped_defs`` in
+``pyproject.toml``), not a rule here.
 
 See DESIGN.md "Static analysis & enforced invariants" for the full
 rationale and the pragma syntax (``# oclint: disable=<rule>``).
@@ -35,7 +36,6 @@ from repro.analysis.config import (
     DEFAULT_DURABLE_FIELDS,
     DEFAULT_POWER_FIELDS,
     LintConfig,
-    load_config,
 )
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.engine import LintResult, lint_paths, lint_source
@@ -52,6 +52,5 @@ __all__ = [
     "get_rule",
     "lint_paths",
     "lint_source",
-    "load_config",
     "register",
 ]

@@ -4,12 +4,11 @@ Usage::
 
     repro lint src                      # lint a tree, exit 0/1/2
     repro lint src --select unit-mismatch
-    repro lint src --ignore untyped-def --format json
+    repro lint src --ignore unit-mismatch --format json
     repro lint --list-rules
 
-Configuration merges, in order: built-in defaults, ``[tool.oclint]``
-from the nearest ``pyproject.toml`` above the first path, then the
-``--select``/``--ignore`` flags.
+Every run uses the built-in :class:`~repro.analysis.config.LintConfig`
+defaults, narrowed by the ``--select``/``--ignore`` flags.
 """
 
 from __future__ import annotations
@@ -17,11 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 from pathlib import Path
-from typing import Optional
 
-import dataclasses
-
-from repro.analysis.config import load_config
+from repro.analysis.config import LintConfig
 from repro.analysis.engine import lint_paths
 from repro.analysis.registry import all_rules
 
@@ -46,15 +42,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
                         help="list registered rules and exit")
 
 
-def _find_pyproject(start: Path) -> Optional[Path]:
-    anchor = start if start.is_dir() else start.parent
-    for directory in (anchor, *anchor.resolve().parents):
-        candidate = directory / "pyproject.toml"
-        if candidate.is_file():
-            return candidate
-    return None
-
-
 def run(args: argparse.Namespace) -> int:
     """Execute ``repro lint`` and return the process exit code."""
     rules = all_rules()
@@ -75,12 +62,9 @@ def run(args: argparse.Namespace) -> int:
         for path in missing:
             print(f"error: no such file or directory: {path}")
         return 2
-    config = load_config(_find_pyproject(paths[0]))
-    if args.select:
-        config = dataclasses.replace(config, select=frozenset(args.select))
-    if args.ignore:
-        config = dataclasses.replace(
-            config, ignore=config.ignore | frozenset(args.ignore))
+    config = LintConfig(
+        select=frozenset(args.select) if args.select else None,
+        ignore=frozenset(args.ignore or ()))
     result = lint_paths(paths, config)
     if args.format == "json":
         envelope = {

@@ -146,7 +146,6 @@ class ClassInfo:
     methods: dict[str, FunctionKey] = field(default_factory=dict)
     #: simple class-body constants: ``tick_stateless = True`` and kin
     class_consts: dict[str, object] = field(default_factory=dict)
-    const_lines: dict[str, int] = field(default_factory=dict)
 
     @property
     def module(self) -> str:
@@ -188,14 +187,11 @@ class ClassIndex:
             elif isinstance(item, ast.Assign) and len(item.targets) == 1 \
                     and isinstance(item.targets[0], ast.Name) \
                     and isinstance(item.value, ast.Constant):
-                name = item.targets[0].id
-                info.class_consts[name] = item.value.value
-                info.const_lines[name] = item.lineno
+                info.class_consts[item.targets[0].id] = item.value.value
             elif isinstance(item, ast.AnnAssign) and \
                     isinstance(item.target, ast.Name) and \
                     isinstance(item.value, ast.Constant):
                 info.class_consts[item.target.id] = item.value.value
-                info.const_lines[item.target.id] = item.lineno
         self.classes[key] = info
         self._by_name.setdefault(node.name, []).append(key)
 

@@ -6,11 +6,10 @@ from repro.analysis.rules.determinism import NondeterminismRule
 from repro.analysis.rules.durable import DurableStateWriteRule
 from repro.analysis.rules.handlers import HandlerHygieneRule
 from repro.analysis.rules.power import PowerCacheWriteRule
-from repro.analysis.rules.purity import PurityStatelessTickRule, WarningHookInertRule
+from repro.analysis.rules.purity import PurityStatelessTickRule
 from repro.analysis.rules.spawnsafe import SpawnPurityRule
 from repro.analysis.rules.tickloop import TickLoopAllocationRule
 from repro.analysis.rules.units import UnitMismatchRule
-from repro.analysis.rules.untyped import UntypedDefRule
 
 __all__ = [
     "DurableStateWriteRule",
@@ -21,5 +20,4 @@ __all__ = [
     "SpawnPurityRule",
     "TickLoopAllocationRule",
     "UnitMismatchRule",
-    "UntypedDefRule",
 ]

@@ -1,18 +1,15 @@
-"""Rules ``purity-stateless-tick`` and ``warning-hook-inert``.
+"""Rule ``purity-stateless-tick``.
 
 The vectorized fast path (DESIGN.md "Performance architecture") trusts
-two self-declared contract flags on ``TracePolicy`` subclasses:
+a self-declared contract flag on ``TracePolicy`` subclasses:
+``tick_stateless = True`` promises ``decide`` (and the ``fast_decide``
+entry the fast path actually calls) mutates nothing and draws no
+randomness — the engine may then replay decisions out of order, batch
+them across ticks, and skip the policy entirely on cached segments.
 
-* ``tick_stateless = True`` promises ``decide`` (and the ``fast_decide``
-  entry the fast path actually calls) mutates nothing and draws no
-  randomness — the engine may then replay decisions out of order, batch
-  them across ticks, and skip the policy entirely on cached segments.
-* ``warning_inert = True`` promises ``on_warning`` is a no-op, so the
-  segment planner may elide warning delivery wholesale.
-
-A policy that breaks either promise produces *silently wrong* fleet
+A policy that breaks the promise produces *silently wrong* fleet
 results: nothing crashes, the numbers are just not the numbers the
-sequential engine would have produced.  These rules check the promises
+sequential engine would have produced.  This rule checks the promise
 against the interprocedural effect analysis
 (:mod:`repro.analysis.effects`): effects are propagated through helper
 calls with ``self``/``super`` dispatch resolved in each concrete
@@ -24,7 +21,7 @@ in the file being linted, at the class header otherwise.
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterator, Union
+from typing import TYPE_CHECKING, Iterator
 
 from repro.analysis.config import LintConfig
 from repro.analysis.context import ModuleContext, ProjectIndex
@@ -34,29 +31,10 @@ from repro.analysis.registry import Rule, register
 if TYPE_CHECKING:
     from repro.analysis.effects import ClassIndex, Effect, EffectAnalysis
 
-__all__ = ["PurityStatelessTickRule", "WarningHookInertRule", "is_noop"]
-
-FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+__all__ = ["PurityStatelessTickRule"]
 
 #: Methods the fast path may call on a stateless policy each tick.
 _TICK_METHODS = ("decide", "fast_decide")
-
-
-def is_noop(fn: FunctionNode) -> bool:
-    """True when a function body does nothing: only a docstring,
-    ``pass``, ``...``, and/or a bare ``return`` / ``return None``."""
-    for stmt in fn.body:
-        if isinstance(stmt, ast.Pass):
-            continue
-        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
-            continue  # docstring or ellipsis
-        if isinstance(stmt, ast.Return) and (
-                stmt.value is None or (
-                    isinstance(stmt.value, ast.Constant)
-                    and stmt.value.value is None)):
-            continue
-        return False
-    return True
 
 
 def _describe(effect: "Effect") -> str:
@@ -140,54 +118,3 @@ class PurityStatelessTickRule(Rule):
                     if effect.kind in IMPURE_KINDS:
                         sites.add((effect.path, effect.line))
         return sites
-
-
-@register
-class WarningHookInertRule(Rule):
-    rule_id = "warning-hook-inert"
-    description = ("on_warning override disagrees with the warning_inert "
-                   "fast-path flag")
-
-    def check(self, ctx: ModuleContext, index: ProjectIndex,
-              config: LintConfig) -> Iterator[Diagnostic]:
-        analysis = index.effect_analysis()
-        classes = analysis.classes
-        for node in ctx.nodes_of_type(ast.ClassDef):
-            assert isinstance(node, ast.ClassDef)
-            key = (ctx.module, node.name)
-            info = classes.classes.get(key)
-            if info is None or info.node is not node:
-                continue
-            if node.name in config.policy_base_classes:
-                continue
-            if not (classes.ancestor_names(key) & config.policy_base_classes):
-                continue
-            flag = classes.class_attr(key, "warning_inert")
-            inert = True if flag is None else flag[0]
-            own_hook = info.methods.get("on_warning")
-            own_fn = analysis.functions.get(own_hook) if own_hook else None
-            if own_fn is not None and not is_noop(own_fn.node) and \
-                    inert is True:
-                yield self.diagnostic(
-                    ctx, own_fn.node.lineno, own_fn.node.col_offset,
-                    f"{node.name} overrides on_warning with a real body "
-                    f"while warning_inert remains True; the fast path "
-                    f"skips warning delivery for inert policies, so this "
-                    f"hook would never run there — declare "
-                    f"warning_inert = False")
-                continue
-            # Inverse advisory: the class itself turns the flag off, but
-            # its effective on_warning does nothing — it forfeits the
-            # fast path for no behavioural difference.
-            if flag is not None and flag[1] == key and inert is False:
-                hook_key = classes.resolve_method(key, "on_warning")
-                hook_fn = analysis.functions.get(hook_key) \
-                    if hook_key else None
-                if hook_fn is None or is_noop(hook_fn.node):
-                    line = info.const_lines.get("warning_inert", node.lineno)
-                    yield self.diagnostic(
-                        ctx, line, node.col_offset,
-                        f"{node.name} declares warning_inert = False but "
-                        f"its effective on_warning is a no-op; the flag "
-                        f"only disqualifies the policy from the fast "
-                        f"path — drop it or implement the hook")

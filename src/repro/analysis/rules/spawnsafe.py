@@ -9,15 +9,16 @@ promise silently: under ``fork`` it sees the parent's value, under
 ``spawn`` it sees the re-imported default, and the sweep's output
 depends on which.
 
-Entrypoints come from ``[tool.oclint] worker-entrypoints`` (dotted
+Entrypoints come from ``LintConfig.worker_entrypoints`` (dotted
 ``module.qualname`` specs, or bare function names matched in any
-module), seeded with the :mod:`repro.experiments.parallel` worker and
-initializer.  Their *transitive* effect summaries must contain no read
-or write of a mutable module global, with one sanctioned exception:
-the worker-local **None-sentinel** idiom (``_CACHE = None`` at module
-level, rebound only through ``global`` inside the worker functions) is
-per-process state that spawn re-initializes to ``None`` in every child,
-so it cannot leak parent state.
+module): every process-pool worker and initializer in
+:mod:`repro.experiments`.  Their *transitive* effect summaries must
+contain no read or write of a mutable module global, with one
+sanctioned exception: the worker-local **None-sentinel** idiom
+(``_CACHE = None`` at module level, rebound only through ``global``
+inside the worker functions) is per-process state that spawn
+re-initializes to ``None`` in every child, so it cannot leak parent
+state.
 
 Unpicklable-closure hazards are prevented structurally rather than
 flagged: an entrypoint spec can only name a module-level function

@@ -4,10 +4,10 @@ hot-path modules.
 The vectorized simulation fast path (DESIGN.md "Performance
 architecture") gets its speed from touching NumPy once per *segment*,
 not once per tick.  An ``np.zeros``/``np.full``/``np.stack`` call inside
-a loop in one of the hot-path modules (tagged via ``hot-path-modules``
-in ``[tool.oclint]``) allocates a fresh array every iteration — exactly
-the churn the fast path was built to remove, and the kind of regression
-a correctness test never catches.  Hoist the buffer out of the loop and
+a loop in one of the hot-path modules (``LintConfig.hot_path_modules``)
+allocates a fresh array every iteration — exactly the churn the fast
+path was built to remove, and the kind of regression a correctness
+test never catches.  Hoist the buffer out of the loop and
 reuse it (``np.copyto``, the ``out=`` parameter) or pre-compute the
 values segment-at-a-time.
 

@@ -220,7 +220,8 @@ class Server:
         # here instead of touching every core; any operating-point change
         # (and any accumulator read) folds the runs in at the still-old
         # point via ``_flush_accrual``.  ``eager_accounting`` disables the
-        # deferral — the equivalence oracle's reference mode.
+        # deferral here and in the server's sOA (per-tick wear, full
+        # control ticks) — the equivalence oracle's reference mode.
         self._pending_runs: list[list[float]] = []
         self._accrual_hooks: dict[str, Callable[[], None]] = {}
         self.eager_accounting = False

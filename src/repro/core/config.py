@@ -122,12 +122,6 @@ class SmartOClockConfig:
     enable_warnings: bool = True           # False → NoWarning
     enable_proactive_scaleout: bool = True
 
-    # --- accounting mode ----------------------------------------------------
-    # True → per-tick (eager) wear/busy accrual and unconditional control
-    # ticks: the reference arithmetic the lazy fast path must match
-    # bit-for-bit (equivalence-oracle tests and benchmarks only).
-    eager_accounting: bool = False
-
     def __post_init__(self) -> None:
         if self.control_interval_s <= 0:
             raise ValueError("control_interval_s must be > 0")

@@ -97,8 +97,6 @@ class SmartOClockPlatform:
         for rack in datacenter.racks.values():
             rack_soas: list[ServerOverclockingAgent] = []
             for server in rack.servers:
-                if self.config.eager_accounting:
-                    server.eager_accounting = True
                 soa = ServerOverclockingAgent(
                     server, self.config,
                     on_exhaustion=self._route_exhaustion,
@@ -363,7 +361,8 @@ class SmartOClockPlatform:
     def fault_counters(self) -> Optional[dict[str, int]]:
         """One consistent counter table for the whole failure surface.
 
-        Merges the injector's activity counters, the recovery
+        Merges the injector's activity counters, the channels' drop and
+        delay counts, the durable store's corruption count, the recovery
         lifecycle's crash/restore counters and the gOAs' membership
         counters.  Missing subsystems contribute zeros so the table's
         shape is stable; returns None only when the platform runs with
@@ -372,11 +371,23 @@ class SmartOClockPlatform:
         if self.fault_injector is None and self.lifecycle is None \
                 and not self.supervisors:
             return None
-        if self.fault_injector is not None:
-            merged = self.fault_injector.counters.as_dict()
-        else:
-            from repro.faults.injector import FaultCounters
-            merged = FaultCounters().as_dict()
+        from repro.faults.injector import FaultCounters
+        injected = (self.fault_injector.counters
+                    if self.fault_injector is not None else FaultCounters())
+        # Drops, delays and rot are tallied where they land: the
+        # channels and the durable store.
+        channels = self.channel_statistics()
+        merged = {
+            "goa_cycles_missed": injected.goa_cycles_missed,
+            "messages_dropped": channels["dropped"],
+            "messages_delayed": channels["delayed"]
+            + channels["failed_pulls"],
+            "telemetry_dropped": injected.telemetry_dropped,
+            "predictions_skewed": injected.predictions_skewed,
+            "checkpoints_corrupted": (
+                self.durable_store.checkpoints_corrupted
+                if self.durable_store is not None else 0),
+        }
         if self.lifecycle is not None:
             merged.update(self.lifecycle.counter_dict())
         else:

@@ -133,9 +133,10 @@ class SegmentPlan:
     Policies only plan ticks whose decisions cannot diverge from the
     scalar path; the engine independently re-routes every tick that
     crosses the warning threshold through the scalar fallback unless the
-    policy is warning-inert — globally (``TracePolicy.warning_inert``)
-    or for this plan's span (``warning_inert`` below: the policy asserts
-    its ``on_warning`` hook would be a no-op at every planned tick).
+    policy is warning-inert — globally (it keeps the base no-op
+    ``on_warning``) or for this plan's span (``warning_inert`` below:
+    the policy asserts its ``on_warning`` hook would be a no-op at every
+    planned tick).
     """
 
     start: int
@@ -163,14 +164,6 @@ class TracePolicy:
     #: one plan.  Stateful policies keep the default ``False`` and plan
     #: bounded segments that stop before any possibly-diverging tick.
     tick_stateless: ClassVar[bool] = False
-
-    #: Declares that ``on_warning`` is the base no-op, so a
-    #: warning-threshold crossing changes nothing but the warning
-    #: counter: the fast path may then keep warning ticks inside a
-    #: vectorized segment (counting them in bulk) and only fall back to
-    #: the scalar tick for capping events.  Any subclass overriding
-    #: ``on_warning`` MUST set this back to False.
-    warning_inert: ClassVar[bool] = True
 
     def __init__(self, n_servers: int) -> None:
         if n_servers < 1:
@@ -626,7 +619,6 @@ class SmartOClockPolicy(NoWarning):
         self._exploit_until = np.full(n_servers, -1)
 
     name = "SmartOClock"
-    warning_inert = False  # on_warning shifts explore → exploit state
 
     def _after_decide(self, ctx: TickContext,
                       granted: np.ndarray) -> np.ndarray:

@@ -552,7 +552,7 @@ class ServerOverclockingAgent:
         """One control iteration: budgets, expiry, feedback, exploration."""
         if dt <= 0:
             raise ValueError(f"dt must be > 0: {dt}")
-        if (not self.config.eager_accounting
+        if (not self.server.eager_accounting
                 and not self._grants
                 and self.loop.active_vms == 0
                 and self.explorer.phase is ExplorationPhase.IDLE
@@ -688,7 +688,7 @@ class ServerOverclockingAgent:
 
     def _note_wear(self, now: float, dt: float) -> None:
         """Record one control tick's wear, eagerly or in the ledger."""
-        if self.config.eager_accounting:
+        if self.server.eager_accounting:
             self._accrue_wear(now, dt)
             return
         pending = self._pending_wear

@@ -603,11 +603,9 @@ def simulate_rack(rack: RackTrace, policy: TracePolicy, *,
     all_indices = np.arange(len(setup.times), dtype=np.int64)
     ones_buf = np.ones(setup.n_servers)
     tpw = setup.ticks_per_week
-    # Belt and braces: only honor the declaration when on_warning really
-    # is the base no-op, so a subclass that overrides the hook without
-    # flipping the flag degrades to correct-but-slower.
-    warning_inert = (policy.warning_inert
-                     and type(policy).on_warning is TracePolicy.on_warning)
+    # A policy that keeps the base no-op on_warning is warning-inert:
+    # warning ticks stay inside vectorized segments.
+    warning_inert = type(policy).on_warning is TracePolicy.on_warning
     recovery_remaining = 0
     for week in range(1, setup.weeks):
         h = slice((week - 1) * tpw, week * tpw)

@@ -11,6 +11,7 @@ scenario assert bit-identical metrics.
 
 from __future__ import annotations
 
+import dataclasses
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable
@@ -25,25 +26,17 @@ __all__ = ["FaultCounters", "FaultInjector", "event_entropy"]
 
 @dataclass
 class FaultCounters:
-    """What the injector actually did during a run (telemetry for
-    experiments and tests)."""
+    """What the injector did that no endpoint records (telemetry for
+    experiments and tests).  Message drops and delays are counted by
+    the :class:`~repro.core.messaging.MessageChannel` that suffers
+    them, checkpoint corruption by the durable store that rots."""
 
     goa_cycles_missed: int = 0
-    messages_dropped: int = 0
-    messages_delayed: int = 0
     telemetry_dropped: int = 0
     predictions_skewed: int = 0
-    checkpoints_corrupted: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "goa_cycles_missed": self.goa_cycles_missed,
-            "messages_dropped": self.messages_dropped,
-            "messages_delayed": self.messages_delayed,
-            "telemetry_dropped": self.telemetry_dropped,
-            "predictions_skewed": self.predictions_skewed,
-            "checkpoints_corrupted": self.checkpoints_corrupted,
-        }
+        return dataclasses.asdict(self)
 
 
 def event_entropy(seed: int, *parts: object) -> list[int]:
@@ -97,7 +90,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def message_fate(self, rack_id: str, envelope: Envelope) -> MessageFate:
-        dropped = False
         delay = 0.0
         for fault in self.plan.message_faults:
             if not fault.matches(rack_id, envelope.kind, envelope.sent_at):
@@ -105,14 +97,8 @@ class FaultInjector:
             if fault.drop_prob > 0.0 and self._bernoulli(
                     fault.drop_prob, "msg", envelope.kind, envelope.src,
                     envelope.dst, envelope.sent_at):
-                dropped = True
-                break
+                return MessageFate(dropped=True)
             delay = max(delay, fault.delay_s)
-        if dropped:
-            self.counters.messages_dropped += 1
-            return MessageFate(dropped=True)
-        if delay > 0.0:
-            self.counters.messages_delayed += 1
         return MessageFate(delay_s=delay)
 
     def channel_hook(self, rack_id: str) -> Callable[[Envelope], MessageFate]:
@@ -140,12 +126,10 @@ class FaultInjector:
 
     def checkpoint_corruption(self, key: str, taken_at: float) -> bool:
         """True when this checkpoint write rots on the durable medium."""
-        for fault in self.plan.checkpoint_corruptions:
-            if fault.matches(key, taken_at) and self._bernoulli(
-                    fault.corrupt_prob, "ckpt", key, taken_at):
-                self.counters.checkpoints_corrupted += 1
-                return True
-        return False
+        return any(
+            fault.matches(key, taken_at) and self._bernoulli(
+                fault.corrupt_prob, "ckpt", key, taken_at)
+            for fault in self.plan.checkpoint_corruptions)
 
     def corruption_hook(self) -> Callable[[str, float], bool]:
         """The corruption hook to install on the platform's durable store."""

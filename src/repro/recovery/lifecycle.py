@@ -68,24 +68,12 @@ class RecoveryCounters:
     restores_cold: int = 0
     restores_corrupted: int = 0
     grants_revoked_on_restore: int = 0
-    quarantines: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "server_crashes": self.server_crashes,
-            "forced_crashes": self.forced_crashes,
-            "hazard_crashes": self.hazard_crashes,
-            "server_restarts": self.server_restarts,
-            "soa_restarts": self.soa_restarts,
-            "vms_evacuated": self.vms_evacuated,
-            "evacuation_retries": self.evacuation_retries,
-            "checkpoints_taken": self.checkpoints_taken,
-            "restores_from_checkpoint": self.restores_from_checkpoint,
-            "restores_cold": self.restores_cold,
-            "restores_corrupted": self.restores_corrupted,
-            "grants_revoked_on_restore": self.grants_revoked_on_restore,
-            "quarantines": self.quarantines,
-        }
+    def as_dict(self, quarantines: int = 0) -> dict[str, int]:
+        """The counters plus the risk controller's quarantine total,
+        which :class:`~repro.recovery.quarantine.QuarantineController`
+        keeps."""
+        return {**dataclasses.asdict(self), "quarantines": quarantines}
 
 
 class ServerLifecycleManager:
@@ -137,9 +125,9 @@ class ServerLifecycleManager:
 
     def counter_dict(self) -> dict[str, int]:
         """Counters including the risk controller's quarantine total."""
-        if self.quarantine is not None:
-            self.counters.quarantines = self.quarantine.quarantines
-        return self.counters.as_dict()
+        return self.counters.as_dict(
+            self.quarantine.quarantines if self.quarantine is not None
+            else 0)
 
     # ------------------------------------------------------------------
     # Crashes

@@ -6,7 +6,6 @@ import numpy as np
 
 class TracePolicy:
     tick_stateless: ClassVar[bool] = False
-    warning_inert: ClassVar[bool] = True
 
     def decide(self, ctx: object) -> object:
         return ctx
@@ -22,7 +21,7 @@ class CountingPolicy(TracePolicy):
     tick_stateless = True
 
     def decide(self, ctx: object) -> object:
-        self._calls = 1                    # line 25: purity-stateless-tick
+        self._calls = 1                    # line 24: purity-stateless-tick
         return ctx
 
 
@@ -33,7 +32,7 @@ class HelperMutator(TracePolicy):
         return self._scale(ctx)
 
     def _scale(self, demand: object) -> object:
-        demand[0] = demand[0] * 2          # line 36: purity-stateless-tick
+        demand[0] = demand[0] * 2          # line 35: purity-stateless-tick
         return demand
 
 
@@ -41,5 +40,5 @@ class DrawingPolicy(TracePolicy):
     tick_stateless = True
 
     def decide(self, ctx: object) -> object:
-        noise = np.random.random()         # line 44: purity-stateless-tick
+        noise = np.random.random()         # line 43: purity-stateless-tick
         return noise

@@ -4,7 +4,6 @@ from typing import ClassVar
 
 class TracePolicy:
     tick_stateless: ClassVar[bool] = False
-    warning_inert: ClassVar[bool] = True
 
     def decide(self, ctx: object) -> object:
         return ctx

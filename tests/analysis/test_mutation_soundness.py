@@ -10,12 +10,12 @@ diagnostic below is caused by its mutation alone.
 
 from pathlib import Path
 
-from repro.analysis import lint_source, load_config
+from repro.analysis import LintConfig, lint_source
 
 REPO = Path(__file__).parents[2]
 POLICIES = REPO / "src" / "repro" / "core" / "policies.py"
 PARALLEL = REPO / "src" / "repro" / "experiments" / "parallel.py"
-CONFIG = load_config(REPO / "pyproject.toml")
+CONFIG = LintConfig()
 
 
 def lint_text(text: str, path: Path) -> list:
@@ -38,24 +38,6 @@ class TestUnmutatedFilesAreClean:
 
     def test_parallel_clean(self):
         assert lint_text(PARALLEL.read_text(), PARALLEL) == []
-
-
-class TestDroppedWarningInertFlag:
-    def test_one_diagnostic_at_the_hook_def(self):
-        lines = POLICIES.read_text().splitlines()
-        flag_index = line_number(lines, "warning_inert = False") - 1
-        mutated_lines = lines[:flag_index] + lines[flag_index + 1:]
-        diags = lint_text("\n".join(mutated_lines) + "\n", POLICIES)
-        assert len(diags) == 1
-        diagnostic = diags[0]
-        assert diagnostic.rule_id == "warning-hook-inert"
-        assert diagnostic.path == str(POLICIES)
-        # SmartOClockPolicy's on_warning is the last override in the file.
-        class_line = line_number(mutated_lines, "class SmartOClockPolicy")
-        hook_line = line_number(mutated_lines, "def on_warning",
-                                start=class_line)
-        assert diagnostic.line == hook_line
-        assert "SmartOClockPolicy" in diagnostic.message
 
 
 class TestStatefulStatelessDecide:

@@ -1,5 +1,5 @@
-"""Fixture tests for the effect-inference rules: purity-stateless-tick,
-warning-hook-inert and spawn-purity, with exact line assertions."""
+"""Fixture tests for the effect-inference rules: purity-stateless-tick
+and spawn-purity, with exact line assertions."""
 
 from pathlib import Path
 
@@ -21,16 +21,16 @@ def rule_lines(diagnostics: list, rule_id: str) -> list[int]:
 class TestPurityStatelessTick:
     def test_bad_fixture_exact_lines(self):
         diags = lint_fixture("purity_bad.py")
-        assert rule_lines(diags, "purity-stateless-tick") == [25, 36, 44]
+        assert rule_lines(diags, "purity-stateless-tick") == [24, 35, 43]
 
     def test_bad_fixture_messages_name_the_effect(self):
         diags = [d for d in lint_fixture("purity_bad.py")
                  if d.rule_id == "purity-stateless-tick"]
         by_line = {d.line: d.message for d in diags}
-        assert "writes self._calls" in by_line[25]
-        assert "mutates parameter" in by_line[36]
-        assert "_scale" in by_line[36]  # helper named as the origin
-        assert "numpy's global RNG" in by_line[44]
+        assert "writes self._calls" in by_line[24]
+        assert "mutates parameter" in by_line[35]
+        assert "_scale" in by_line[35]  # helper named as the origin
+        assert "numpy's global RNG" in by_line[43]
 
     def test_good_fixture_clean(self):
         assert rule_lines(lint_fixture("purity_good.py"),
@@ -123,43 +123,6 @@ class TestPurityStatelessTick:
                 select=frozenset({"purity-stateless-tick"})))
         assert [d.line for d in result.diagnostics] == [12]
         assert "generator state" in result.diagnostics[0].message
-
-
-class TestWarningHookInert:
-    def test_bad_fixture_exact_lines(self):
-        diags = lint_fixture("warninghook_bad.py")
-        assert rule_lines(diags, "warning-hook-inert") == [19, 26]
-
-    def test_override_flagged_at_def_line(self):
-        diags = [d for d in lint_fixture("warninghook_bad.py")
-                 if d.rule_id == "warning-hook-inert"]
-        by_line = {d.line: d.message for d in diags}
-        assert "EagerHook" in by_line[19]
-        assert "warning_inert remains True" in by_line[19]
-        assert "FalseFlag" in by_line[26]
-        assert "no-op" in by_line[26]
-
-    def test_good_fixture_clean(self):
-        assert rule_lines(lint_fixture("warninghook_good.py"),
-                          "warning-hook-inert") == []
-
-    def test_pragma_suppresses(self):
-        source = (
-            "class TracePolicy:\n"
-            "    warning_inert = True\n"
-            "\n"
-            "    def on_warning(self, ctx: object) -> None:\n"
-            "        return None\n"
-            "\n"
-            "\n"
-            "class Hooked(TracePolicy):\n"
-            "    def on_warning(self, ctx: object) -> None:"
-            "  # oclint: disable=warning-hook-inert\n"
-            "        self._seen = True\n")
-        result = lint_source(
-            source, config=LintConfig(
-                select=frozenset({"warning-hook-inert"})))
-        assert result.diagnostics == []
 
 
 class TestSpawnPurity:

@@ -125,24 +125,6 @@ class TestHandlerHygiene:
                           "handler-hygiene") == []
 
 
-class TestUntypedDef:
-    def test_bad_fixture_exact_lines(self):
-        diags = lint_fixture("untyped_bad.py")
-        assert rule_lines(diags, "untyped-def") == [4, 8, 13]
-
-    def test_good_fixture_clean(self):
-        assert lint_fixture("untyped_good.py") == []
-
-    def test_self_and_cls_exempt(self):
-        source = ("class C:\n"
-                  "    def m(self) -> None: ...\n"
-                  "    @classmethod\n"
-                  "    def f(cls) -> None: ...\n")
-        result = lint_source(
-            source, config=LintConfig(select=frozenset({"untyped-def"})))
-        assert result.diagnostics == []
-
-
 class TestTickLoopAllocation:
     def test_bad_fixture_exact_lines(self):
         diags = lint_fixture("tickloop_bad.py",
@@ -179,7 +161,7 @@ class TestBadFixturesExitNonzero:
     0 on every good one."""
 
     @pytest.mark.parametrize("rule", ["power", "determinism", "units",
-                                      "handlers", "untyped"])
+                                      "handlers"])
     def test_bad_vs_good(self, rule):
         from repro.cli import main
         assert main(["lint", str(FIXTURES / f"{rule}_bad.py")]) == 1

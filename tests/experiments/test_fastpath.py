@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.policies import make_policy
+from repro.core.policies import NoFeedback, TickContext, make_policy
 from repro.experiments.largescale import (
     SECONDS_PER_WEEK,
     TABLE1_POLICIES,
@@ -76,6 +76,34 @@ class TestBitIdentical:
         ref = simulate_rack_reference(
             rack, make_policy(policy_name, len(rack.servers)))
         assert_bit_identical(fast, ref)
+
+
+class CountingNoFeedback(NoFeedback):
+    """A stateless policy whose on_warning is not the base no-op."""
+
+    def __init__(self, n_servers):
+        super().__init__(n_servers)
+        self.warning_calls = 0
+
+    def on_warning(self, ctx: TickContext) -> None:
+        self.warning_calls += 1
+
+
+class TestDerivedWarningInert:
+    """simulate_rack derives warning-inertness from whether on_warning
+    is overridden: an override must see every warning the scalar
+    reference delivers."""
+
+    def test_overridden_hook_runs_on_every_warning(self):
+        rack = make_rack(17, p99_range=(0.88, 0.96))
+        fast_policy = CountingNoFeedback(len(rack.servers))
+        ref_policy = CountingNoFeedback(len(rack.servers))
+        fast = simulate_rack(rack, fast_policy)
+        ref = simulate_rack_reference(rack, ref_policy)
+        assert ref.warnings > 0  # the rack crosses the warning threshold
+        assert_bit_identical(fast, ref)
+        assert fast_policy.warning_calls == ref_policy.warning_calls
+        assert ref_policy.warning_calls == ref.warnings
 
 
 class TestWeeksRounding:

@@ -2,7 +2,7 @@
 
 Two regression families guard the perf work:
 
-* **Eager vs lazy** — ``SmartOClockConfig(eager_accounting=True)`` runs
+* **Eager vs lazy** — ``Server.eager_accounting = True`` runs
   the original per-tick accounting loops (every core accrued every
   tick, every sOA's full control tick, every channel pumped).  The
   lazy default coalesces accrual into change-point runs and skips idle
@@ -54,6 +54,7 @@ def _run_faulted_platform(seed: int, eager: bool, probe=None):
     rack = Rack("r0", 1.06 * n_servers * busy_watts)
     servers = [Server(sid, _MODEL) for sid in server_ids]
     for server in servers:
+        server.eager_accounting = eager
         rack.add_server(server)
     datacenter = Datacenter("equiv")
     datacenter.add_rack(rack)
@@ -67,8 +68,7 @@ def _run_faulted_platform(seed: int, eager: bool, probe=None):
         vm_restart_delay_s=3 * tick_s,
         enable_goa_ha=True,
         goa_heartbeat_interval_s=3 * tick_s,
-        goa_lease_s=9 * tick_s,
-        eager_accounting=eager)
+        goa_lease_s=9 * tick_s)
     platform = SmartOClockPlatform(datacenter, config, fault_injector=injector)
 
     services = []
@@ -152,7 +152,7 @@ class TestEagerVsLazy:
                 f"mid-run reads perturbed {key}"
 
     def test_eager_flag_defaults_off(self):
-        assert SmartOClockConfig().eager_accounting is False
+        assert Server("s0", _MODEL).eager_accounting is False
 
 
 class TestWorkerCountInvariance:

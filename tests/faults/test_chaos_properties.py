@@ -1,9 +1,9 @@
 """Property tests: randomized chaos FaultPlans vs counter accounting.
 
 For any plan :func:`repro.faults.chaos.generate_plan` can draw, the
-channel's conservation identity must hold, the injector's counters must
-equal what the endpoints actually observed, and replaying the same seed
-must be bit-identical.  These are the bookkeeping contracts the chaos
+channel's conservation identity must hold, the channel and store
+counters must agree with what the endpoints actually observed, and
+replaying the same seed must be bit-identical.  These are the bookkeeping contracts the chaos
 sweep's reports (and CI's double-run diff) rest on.
 """
 
@@ -62,7 +62,6 @@ def drive(seed):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_counters_consistent_under_any_plan(seed):
     injector, channel, store, loads, log = drive(seed)
-    counters = injector.counters
 
     # Conservation: every send is delivered, dropped, a failed pull, or
     # still in flight — nothing double-counted, nothing lost.
@@ -70,17 +69,13 @@ def test_counters_consistent_under_any_plan(seed):
                             + channel.failed_pulls + channel.in_flight)
     assert channel.sent == TICKS * (2 * len(SERVERS) + 1)
 
-    # Injector counters equal what the endpoints observed.
-    assert counters.messages_dropped == channel.dropped
-    assert counters.messages_delayed == channel.delayed \
-        + channel.failed_pulls
+    # The channel's counts agree with the observed event log.
     delivered_sends = sum(1 for e in log if e[0] in ("push", "hb"))
     successful_pulls = sum(1 for e in log if e[0] == "pull" and e[3])
     assert channel.delivered == delivered_sends + successful_pulls
 
-    # Corruption: the store rotted exactly the saves the injector fated,
-    # and detected exactly the keys whose latest save was corrupted.
-    assert counters.checkpoints_corrupted == store.checkpoints_corrupted
+    # Corruption: the store detected exactly the keys whose latest save
+    # was corrupted.
     assert store.corruption_detected == \
         sum(1 for load in loads.values() if load.corrupted)
     for load in loads.values():
@@ -96,4 +91,6 @@ def test_same_seed_replays_bit_identical(seed):
     for attr in ("sent", "delivered", "dropped", "delayed",
                  "failed_pulls", "in_flight"):
         assert getattr(first[1], attr) == getattr(second[1], attr)
+    for attr in ("checkpoints_corrupted", "corruption_detected"):
+        assert getattr(first[2], attr) == getattr(second[2], attr)
     assert first[4] == second[4]  # the full observed event log

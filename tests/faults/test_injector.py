@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.messaging import Envelope
+from repro.core.messaging import Envelope, MessageChannel
 from repro.faults import FaultInjector, FaultPlan, GoaOutage, MessageFault
 from repro.faults.spec import (
     CheckpointCorruptionFault,
@@ -10,6 +10,7 @@ from repro.faults.spec import (
     MispredictionFault,
     TelemetryDropout,
 )
+from repro.recovery.checkpoint import DurableStore, SoaCheckpoint
 
 
 def lossy_plan(drop=0.5, delay=0.0):
@@ -67,7 +68,12 @@ class TestFates:
             "r0", Envelope("budget_push", "r0", "s0", 1.0))
         assert not fate.dropped
         assert fate.delay_s == 25.0
-        assert injector.counters.messages_delayed == 1
+        # The channel that suffers the delay is what counts it.
+        channel = MessageChannel(injector.channel_hook("r0"))
+        assert channel.send(Envelope("budget_push", "r0", "s0", 1.0),
+                            lambda at: None)
+        assert (channel.delayed, channel.dropped, channel.in_flight) == \
+            (1, 0, 1)
 
     def test_goa_down_counts_missed_cycles(self):
         plan = FaultPlan(goa_outages=(
@@ -98,7 +104,11 @@ class TestFates:
         assert injector.checkpoint_corruption("s0", 150.0)
         assert not injector.checkpoint_corruption("s0", 250.0)  # outside
         assert not injector.checkpoint_corruption("s1", 150.0)  # other key
-        assert injector.counters.checkpoints_corrupted == 1
+        # The store the hook is installed on counts the rotted saves.
+        store = DurableStore(corruption_hook=injector.corruption_hook())
+        for key, taken_at in (("s0", 150.0), ("s0", 250.0), ("s1", 150.0)):
+            store.save(SoaCheckpoint(key, taken_at, {"t": taken_at}))
+        assert store.checkpoints_corrupted == 1
 
     def test_checkpoint_corruption_wildcard_covers_goa_keys(self):
         plan = FaultPlan(checkpoint_corruptions=(
@@ -126,12 +136,15 @@ class TestFates:
             CheckpointCorruptionFault(FaultWindow(0.0, 100.0)),))
         injector = FaultInjector(plan)
         hook = injector.corruption_hook()
-        assert hook("s0", 10.0)
-        assert injector.counters.checkpoints_corrupted == 1
+        assert hook("s0", 10.0) == injector.checkpoint_corruption("s0", 10.0)
+        store = DurableStore(corruption_hook=hook)
+        store.save(SoaCheckpoint("s0", 10.0, {"t": 10.0}))
+        assert store.checkpoints_corrupted == 1
+        assert store.load_verified("s0").corrupted
 
     def test_counters_as_dict_keys(self):
         counters = FaultInjector(FaultPlan()).counters.as_dict()
+        # Drops, delays and corruption are counted by the channel and
+        # the durable store, not copied here.
         assert set(counters) == {
-            "goa_cycles_missed", "messages_dropped", "messages_delayed",
-            "telemetry_dropped", "predictions_skewed",
-            "checkpoints_corrupted"}
+            "goa_cycles_missed", "telemetry_dropped", "predictions_skewed"}
