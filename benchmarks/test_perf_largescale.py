@@ -21,10 +21,10 @@ import time
 from repro.core.policies import make_policy
 from repro.experiments.largescale import (
     TABLE1_POLICIES,
-    cluster_class_fleets,
+    cluster_class_fleet_configs,
     simulate_rack_reference,
 )
-from repro.experiments.parallel import run_rack_policy_jobs
+from repro.experiments.parallel import RackSpec, iter_rack_policy_results
 
 #: Same generator/seed family as the shared ``table1_results`` CI fleet,
 #: at a third of the racks: the scalar reference is what's being timed,
@@ -34,23 +34,37 @@ WEEKS = 3
 SEED = 1
 
 
+def sweep(specs, workers):
+    """One ``{policy: RackSimResult}`` dict per rack, in rack order."""
+    merged = [{} for _ in specs]
+    for rack_slot, name, result in iter_rack_policy_results(
+            specs, TABLE1_POLICIES, workers=workers):
+        merged[rack_slot][name] = result
+    return merged
+
+
 def test_vectorized_sweep_speedup(record_result):
-    fleets = cluster_class_fleets(n_racks=N_RACKS, weeks=WEEKS, seed=SEED)
-    racks = [rack for fleet in fleets.values() for rack in fleet.racks]
+    configs = cluster_class_fleet_configs(n_racks=N_RACKS, weeks=WEEKS,
+                                          seed=SEED)
+    specs = [RackSpec(config=config, rack_index=i)
+             for config in configs.values()
+             for i in range(config.n_racks)]
 
     start = time.perf_counter()
-    vectorized = run_rack_policy_jobs(racks, TABLE1_POLICIES, workers=1)
+    vectorized = sweep(specs, workers=1)
     vectorized_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    reference = [{name: simulate_rack_reference(
-                      rack, make_policy(name, len(rack.servers)))
-                  for name in TABLE1_POLICIES}
-                 for rack in racks]
+    reference = []
+    for spec in specs:
+        rack = spec.materialize()
+        reference.append({name: simulate_rack_reference(
+                              rack, make_policy(name, len(rack.servers)))
+                          for name in TABLE1_POLICIES})
     reference_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    pooled = run_rack_policy_jobs(racks, TABLE1_POLICIES, workers=2)
+    pooled = sweep(specs, workers=2)
     pooled_s = time.perf_counter() - start
 
     # All three paths must agree exactly — every (rack, policy)
@@ -62,7 +76,7 @@ def test_vectorized_sweep_speedup(record_result):
     assert pooled == vectorized
 
     speedup = reference_s / vectorized_s
-    n_racks_total = len(racks)
+    n_racks_total = len(specs)
     print(f"\nTable-I sweep, {n_racks_total} racks x "
           f"{len(TABLE1_POLICIES)} policies x "
           f"{WEEKS} weeks: scalar {reference_s:.2f} s, "

@@ -89,7 +89,6 @@ DEFAULT_POLICY_BASE_CLASSES = frozenset({"TracePolicy"})
 # process-pool entrypoint.
 DEFAULT_WORKER_ENTRYPOINTS = frozenset({
     "repro.experiments.parallel._run_job",
-    "repro.experiments.parallel._init_worker",
     "repro.experiments.chaos._trial_job",
     "repro.experiments.recovery._recovery_job",
     "repro.experiments.faults._fault_job",

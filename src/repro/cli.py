@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -55,6 +55,23 @@ _weeks_count = _int_at_least(2, "weeks")  # history + evaluation week
 _workers_count = _int_at_least(1, "workers")
 _inflight_count = _int_at_least(1, "max-inflight")
 _trials_count = _int_at_least(1, "trials")
+_days_count = _int_at_least(1, "days")
+
+_C = TypeVar("_C")
+
+
+class _ConfigError(Exception):
+    """A command's config rejected an argument value."""
+
+
+def _config(cls: Callable[..., _C], **fields: Any) -> _C:
+    """Build a command's config.  Its ``__post_init__`` is the one home
+    of each bound, so a value it rejects becomes a usage error (exit 2)
+    in :func:`main`, like a value the argparse layer rejects."""
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        raise _ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -144,9 +161,9 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         format_table1,
         table1_streaming,
     )
-    # The streaming path: the driver ships rack *specs* and folds
-    # results online, so `--racks 7100` runs in bounded memory; output
-    # is byte-identical to materializing the fleets at any worker count.
+    # The driver ships rack *specs* and folds results online, so
+    # `--racks 7100` runs in bounded memory; output is byte-identical at
+    # any worker count.
     configs = cluster_class_fleet_configs(n_racks=args.racks,
                                           weeks=args.weeks, seed=args.seed)
     print(format_table1(table1_streaming(configs, workers=args.workers,
@@ -160,7 +177,8 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         ClusterConfig,
         run_environment,
     )
-    config = ClusterConfig(duration_s=args.duration, seed=args.seed)
+    config = _config(ClusterConfig, duration_s=args.duration,
+                     seed=args.seed)
     for env in ENVIRONMENTS:
         result = run_environment(env, config)
         high = result.per_class["high"]
@@ -193,8 +211,8 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         fault_injection_experiment,
         format_fault_report,
     )
-    config = FaultScenarioConfig(duration_s=args.duration, seed=args.seed,
-                                 message_drop_prob=args.drop_prob)
+    config = _config(FaultScenarioConfig, duration_s=args.duration,
+                     seed=args.seed, message_drop_prob=args.drop_prob)
     result = fault_injection_experiment(config, workers=args.workers)
     print(format_fault_report(result))
     # Exit non-zero if the decentralization claim failed: a faulted run
@@ -209,8 +227,8 @@ def _cmd_recovery(args: argparse.Namespace) -> int:
         format_recovery_report,
         recovery_experiment,
     )
-    config = RecoveryScenarioConfig(duration_s=args.duration,
-                                    seed=args.seed)
+    config = _config(RecoveryScenarioConfig, duration_s=args.duration,
+                     seed=args.seed)
     result = recovery_experiment(config, workers=args.workers)
     print(format_recovery_report(result, as_json=args.json))
     # Exit non-zero if a hard safety claim failed: rack above its limit
@@ -225,7 +243,8 @@ def _cmd_oversub(args: argparse.Namespace) -> int:
         format_oversub_report,
         oversubscription_experiment,
     )
-    config = OversubScenarioConfig(n_racks=args.racks, seed=args.seed)
+    config = _config(OversubScenarioConfig, n_racks=args.racks,
+                     seed=args.seed)
     result = oversubscription_experiment(config, workers=args.workers)
     print(format_oversub_report(result, as_json=args.json))
     # Exit non-zero if the oversubscription claims failed: a non-monotone
@@ -310,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="in-flight job window (default 4x workers); bounds "
                      "driver memory during fleet-scale sweeps")
         if name == "fig7":
-            p.add_argument("--days", type=int, default=5)
+            p.add_argument("--days", type=_days_count, default=5)
         if name == "cluster":
             p.add_argument("--duration", type=float, default=3600.0)
         if name == "faults":
@@ -353,8 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except _ConfigError as exc:
+        parser.error(f"{args.command}: {exc}")
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

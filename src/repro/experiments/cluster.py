@@ -21,6 +21,7 @@ mass are computed by bisection — no per-request sampling noise.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -115,6 +116,9 @@ class ClusterConfig:
             raise ValueError("need at least one LC server")
         if sum(n for _, n in self.class_counts) != self.n_lc_servers:
             raise ValueError("class_counts must sum to n_lc_servers")
+        # NaN passes every comparison below, so check finiteness first.
+        if not math.isfinite(self.duration_s):
+            raise ValueError(f"duration_s must be finite: {self.duration_s}")
         if self.tick_s <= 0 or self.duration_s <= self.tick_s:
             raise ValueError("bad tick/duration")
         if self.wi_trigger not in ("metrics", "schedule", "both"):

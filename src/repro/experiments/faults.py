@@ -16,6 +16,7 @@ bit-identical output across repeats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,6 +59,9 @@ class FaultScenarioConfig:
     misprediction_scale: float = 0.9
 
     def __post_init__(self) -> None:
+        # NaN passes every comparison below, so check finiteness first.
+        if not math.isfinite(self.duration_s):
+            raise ValueError(f"duration_s must be finite: {self.duration_s}")
         if self.duration_s < 6 * self.tick_s:
             raise ValueError("scenario too short to contain its phases")
         if not 0.0 <= self.message_drop_prob <= 1.0:

@@ -33,19 +33,15 @@ architecture"):
   float accumulation happens in the same per-tick order — and the
   property tests in ``tests/experiments/test_fastpath.py`` enforce it.
 
-``compare_policies``/``table1`` additionally fan (rack, policy) work
-items over a process pool (:mod:`repro.experiments.parallel`) via the
-``workers=`` knob; merged output is byte-identical to the serial path.
-
-For fleet-scale sweeps (the paper's 7.1k racks) the streaming variants
-— :func:`compare_policies_streaming` / :func:`table1_streaming` — never
-materialize the fleet at all: the driver ships ~100-byte
-:class:`~repro.experiments.parallel.RackSpec` recipes, workers
-regenerate each rack's trace from its spawned seed stream, and
-per-rack results fold into running :class:`PolicyAccumulator` totals in
-submission-slot order.  The online merge performs the same left-fold as
-:func:`_aggregate_scores`, so the scores are byte-identical to
-materializing everything serially — at any worker count.
+The fleet sweeps — :func:`compare_policies_streaming` and
+:func:`table1_streaming` — never materialize a fleet: they stream
+~100-byte :class:`~repro.experiments.parallel.RackSpec` recipes through
+the ordered, windowed pool of :mod:`repro.experiments.parallel` (the
+``workers=`` and ``max_inflight=`` knobs), each job regenerates its
+rack's trace from its spawned seed stream, and per-rack results fold
+into running :class:`PolicyAccumulator` totals in rack order.  That
+makes the scores byte-identical at any worker count and keeps driver
+memory flat up to the paper's 7.1k racks.
 """
 
 from __future__ import annotations
@@ -64,7 +60,7 @@ from repro.core.policies import (
     TracePolicy,
 )
 from repro.traces.schema import RackTrace
-from repro.traces.synthetic import FleetConfig, SyntheticFleet, generate_fleet
+from repro.traces.synthetic import FleetConfig
 
 __all__ = [
     "RackSimResult",
@@ -72,11 +68,8 @@ __all__ = [
     "PolicyAccumulator",
     "simulate_rack",
     "simulate_rack_reference",
-    "compare_policies",
     "compare_policies_streaming",
     "cluster_class_fleet_configs",
-    "cluster_class_fleets",
-    "table1",
     "table1_streaming",
     "format_table1",
 ]
@@ -89,7 +82,7 @@ SECONDS_PER_WEEK = 7 * 86400.0
 _FAST_LOOKAHEAD = 512
 
 #: Policy column order of Table I (also the default for
-#: :func:`compare_policies`).
+#: :func:`compare_policies_streaming`).
 TABLE1_POLICIES = ("Central", "NaiveOClock", "NoFeedback", "NoWarning",
                    "SmartOClock", "SmartOClock+OSub")
 
@@ -662,9 +655,8 @@ class PolicyAccumulator:
     of summing a ``list[RackSimResult]``.
 
     Results must be folded in rack order: float accumulation is a left
-    fold from zero, exactly what ``sum()`` over an ordered list does, so
-    a streaming sweep that adds results in submission-slot order scores
-    byte-identically to the materialize-everything path.
+    fold from zero, so a sweep that adds results in submission-slot
+    order scores byte-identically at any worker count.
     """
 
     policy: str
@@ -724,55 +716,19 @@ def _finalize_scores(accs: dict[str, PolicyAccumulator]
     return {name: acc.score(central_caps) for name, acc in accs.items()}
 
 
-def _aggregate_scores(
-        raw: dict[str, list[RackSimResult]]) -> dict[str, PolicyScore]:
-    """Fold per-rack results (in rack order) into Table-I rows.  Both the
-    serial and the process-pool sweeps feed this with identically-ordered
-    lists, which keeps the float sums — and hence the output — byte-
-    identical across ``workers`` settings."""
-    accs: dict[str, PolicyAccumulator] = {}
-    for name, results in raw.items():
-        acc = accs[name] = PolicyAccumulator(policy=name)
-        for result in results:
-            acc.add(result)
-    return _finalize_scores(accs)
-
-
-def compare_policies(fleet: SyntheticFleet,
-                     policy_names: Sequence[str] = TABLE1_POLICIES, *,
-                     power_model: PowerModel = DEFAULT_POWER_MODEL,
-                     workers: Optional[int] = 1) -> dict[str, PolicyScore]:
-    """Run every policy over every rack of a fleet and aggregate.
-
-    ``workers=1`` runs serially in-process; ``workers=N`` (or None →
-    ``os.cpu_count()``) fans the (rack, policy) grid over a process pool
-    with byte-identical output (see :mod:`repro.experiments.parallel`)."""
-    from repro.experiments.parallel import run_rack_policy_jobs
-    names = tuple(policy_names)
-    per_rack = run_rack_policy_jobs(fleet.racks, names,
-                                    power_model=power_model,
-                                    workers=workers)
-    raw: dict[str, list[RackSimResult]] = {name: [] for name in names}
-    for rack_results in per_rack:
-        for name in names:
-            raw[name].append(rack_results[name])
-    return _aggregate_scores(raw)
-
-
 def compare_policies_streaming(
         config: FleetConfig,
         policy_names: Sequence[str] = TABLE1_POLICIES, *,
-        power_model: PowerModel = DEFAULT_POWER_MODEL,
         workers: Optional[int] = 1,
         max_inflight: Optional[int] = None) -> dict[str, PolicyScore]:
     """Sweep the fleet ``config`` describes without materializing it.
 
     Workers regenerate each rack from its spawned seed stream
     (:class:`~repro.experiments.parallel.RackSpec`); results fold into
-    running accumulators in submission-slot order.  Byte-identical to
-    ``compare_policies(generate_fleet(config), ...)`` at any worker
-    count, with driver memory bounded by the in-flight window instead of
-    the fleet size."""
+    running accumulators in rack order — the same left fold as summing
+    each policy's per-rack results serially — so the scores are
+    byte-identical at any worker count, with driver memory bounded by
+    the in-flight window instead of the fleet size."""
     from repro.experiments.parallel import (
         RackSpec,
         iter_rack_policy_results,
@@ -782,8 +738,7 @@ def compare_policies_streaming(
              for r in range(config.n_racks))
     accs = {name: PolicyAccumulator(policy=name) for name in names}
     for _rack_slot, name, result in iter_rack_policy_results(
-            specs, names, power_model=power_model, workers=workers,
-            max_inflight=max_inflight):
+            specs, names, workers=workers, max_inflight=max_inflight):
         accs[name].add(result)
     return _finalize_scores(accs)
 
@@ -800,9 +755,8 @@ def cluster_class_fleet_configs(*, n_racks: int = 12, weeks: int = 2,
                                 seed: int = 42) -> dict[str, FleetConfig]:
     """Configs for Table I's High/Medium/Low-power classes.
 
-    The configs alone are enough to drive :func:`table1_streaming`;
-    :func:`cluster_class_fleets` materializes them for the in-memory
-    path."""
+    The configs alone drive :func:`table1_streaming`;
+    :func:`~repro.traces.synthetic.generate_fleet` materializes one."""
     configs: dict[str, FleetConfig] = {}
     for i, (name, p99_range) in enumerate(_CLUSTER_CLASS_RANGES.items()):
         configs[name] = FleetConfig(
@@ -812,44 +766,7 @@ def cluster_class_fleet_configs(*, n_racks: int = 12, weeks: int = 2,
     return configs
 
 
-def cluster_class_fleets(*, n_racks: int = 12, weeks: int = 2,
-                         seed: int = 42) -> dict[str, SyntheticFleet]:
-    """Three fleets matching Table I's High/Medium/Low-power classes."""
-    configs = cluster_class_fleet_configs(n_racks=n_racks, weeks=weeks,
-                                          seed=seed)
-    return {name: generate_fleet(config)
-            for name, config in configs.items()}
-
-
-def table1(fleets: dict[str, SyntheticFleet], *,
-           power_model: PowerModel = DEFAULT_POWER_MODEL,
-           workers: Optional[int] = 1
-           ) -> dict[str, dict[str, PolicyScore]]:
-    """Full Table I: per cluster class, per policy.
-
-    With ``workers`` > 1 the whole (fleet, rack, policy) grid shares one
-    process pool; per-fleet aggregation runs in the same order as the
-    serial path, so output is byte-identical to ``workers=1``."""
-    from repro.experiments.parallel import run_rack_policy_jobs
-    racks = [rack for fleet in fleets.values() for rack in fleet.racks]
-    per_rack = run_rack_policy_jobs(racks, TABLE1_POLICIES,
-                                    power_model=power_model,
-                                    workers=workers)
-    results: dict[str, dict[str, PolicyScore]] = {}
-    offset = 0
-    for name, fleet in fleets.items():
-        raw: dict[str, list[RackSimResult]] = {
-            p: [] for p in TABLE1_POLICIES}
-        for r in range(len(fleet.racks)):
-            for p in TABLE1_POLICIES:
-                raw[p].append(per_rack[offset + r][p])
-        offset += len(fleet.racks)
-        results[name] = _aggregate_scores(raw)
-    return results
-
-
 def table1_streaming(configs: dict[str, FleetConfig], *,
-                     power_model: PowerModel = DEFAULT_POWER_MODEL,
                      workers: Optional[int] = 1,
                      max_inflight: Optional[int] = None
                      ) -> dict[str, dict[str, PolicyScore]]:
@@ -857,10 +774,9 @@ def table1_streaming(configs: dict[str, FleetConfig], *,
 
     The whole (fleet, rack, policy) grid streams through one process
     pool as :class:`~repro.experiments.parallel.RackSpec` jobs; results
-    arrive in submission order, so per-fleet accumulators fold in
-    exactly the order :func:`table1` aggregates its materialized lists —
-    the scores are byte-identical to ``table1(cluster fleets)`` at any
-    worker count, with driver memory bounded by the in-flight window."""
+    arrive in submission order, so per-fleet accumulators fold in rack
+    order and the scores are byte-identical at any worker count, with
+    driver memory bounded by the in-flight window."""
     from repro.experiments.parallel import (
         RackSpec,
         iter_rack_policy_results,
@@ -879,8 +795,8 @@ def table1_streaming(configs: dict[str, FleetConfig], *,
             for name in order}
     fleet_idx = 0
     for rack_slot, policy, result in iter_rack_policy_results(
-            specs, TABLE1_POLICIES, power_model=power_model,
-            workers=workers, max_inflight=max_inflight):
+            specs, TABLE1_POLICIES, workers=workers,
+            max_inflight=max_inflight):
         # Results arrive slot-ordered, so the owning fleet only ever
         # advances — no per-result search needed.
         while rack_slot >= bounds[fleet_idx]:

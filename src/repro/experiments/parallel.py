@@ -1,45 +1,40 @@
-"""Process-parallel sweep of (rack, policy) simulation work items.
+"""Process-parallel sharding of experiment work items.
 
-Sharding layer for :func:`repro.experiments.largescale.compare_policies`
-and :func:`~repro.experiments.largescale.table1` and their streaming
-variants.  Design constraints (DESIGN.md "Performance architecture"):
+Every sharded run — the Table-I fleet sweep
+(:func:`repro.experiments.largescale.table1_streaming` and
+:func:`~repro.experiments.largescale.compare_policies_streaming`) and the
+multi-trial / matched-variant sweeps behind ``repro chaos/recovery/
+faults/oversub --workers N`` — goes through one pool generator,
+:func:`iter_jobs`.  Design constraints (DESIGN.md "Performance
+architecture"):
 
 * **Spawn-safe** — the pool always uses the ``spawn`` start method (the
   only one portable across platforms and safe with threaded parents),
-  so the worker is a module-level function and every payload pickles.
-* **Seed-sharded** — the preferred unit of work is a
-  :class:`RackSpec` (fleet config + rack index, ~100 bytes on the
-  wire); the worker regenerates the rack's trace locally from its
-  spawned seed stream (:func:`repro.traces.synthetic.generate_fleet_rack`),
-  byte-identical to the driver materializing it.  Plain
-  :class:`~repro.traces.schema.RackTrace` payloads are still accepted
-  for pre-materialized fleets.
-* **Shared state ships once** — the :class:`PowerModel` is sent to each
-  worker through the executor initializer, not serialized into every
-  job.
-* **Streaming, deterministic merge** — :func:`iter_rack_policy_results`
-  yields results in exact submission-slot order (a bounded reorder
-  buffer holds early completions), so downstream aggregation folds
-  floats in the serial order and never holds more than the in-flight
-  window of results, no matter how large the fleet.
-* **Fail fast** — a worker exception cancels every queued job
-  (``cancel_futures``) instead of letting the rest of the grid run to
-  completion before the error surfaces.
+  so every job function is module-level and every payload pickles.
+* **Ordered and windowed** — at most ``max_inflight`` jobs are
+  submitted ahead of the oldest unfinished one, and results are yielded
+  in submission order.  Consumers therefore fold floats in the serial
+  order, byte-identically at any worker count, and a lazy payload
+  iterable is pulled no further ahead than the window.
+* **Fail fast** — a worker exception (or the consumer abandoning the
+  generator) cancels every queued job instead of letting the rest of
+  the grid run to completion before the error surfaces.
 * ``workers=1`` short-circuits to a plain in-process loop — no pool, no
   pickling — which is also the serial path the byte-identity tests
   compare against.
+* **Seed-sharded fleet sweep** — a Table-I job is a :class:`RackSpec`
+  (fleet config + rack index, ~100 bytes on the wire) and a policy
+  name; the job regenerates the rack's trace from its spawned seed
+  stream (:func:`repro.traces.synthetic.generate_fleet_rack`),
+  byte-identical to the driver materializing it.
 """
 
 from __future__ import annotations
 
 import gc
 import os
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import (
@@ -50,10 +45,8 @@ from typing import (
     Optional,
     Sequence,
     TypeVar,
-    Union,
 )
 
-from repro.cluster.power import DEFAULT_POWER_MODEL, PowerModel
 from repro.traces.schema import RackTrace
 from repro.traces.synthetic import FleetConfig, generate_fleet_rack
 
@@ -62,11 +55,10 @@ if TYPE_CHECKING:
 
 __all__ = [
     "RackSpec",
-    "RackPolicyJob",
     "resolve_workers",
-    "iter_rack_policy_results",
-    "run_rack_policy_jobs",
+    "iter_jobs",
     "run_jobs",
+    "iter_rack_policy_results",
 ]
 
 _P = TypeVar("_P")
@@ -81,72 +73,28 @@ class RackSpec:
     config: FleetConfig
     rack_index: int
 
-    def materialize(self, power_model: PowerModel = DEFAULT_POWER_MODEL
-                    ) -> RackTrace:
+    def materialize(self) -> RackTrace:
         """Expand to the rack's trace — byte-identical wherever run."""
-        return generate_fleet_rack(self.config, self.rack_index,
-                                   power_model=power_model)
+        return generate_fleet_rack(self.config, self.rack_index)
 
 
-#: What a job may carry: a spec (preferred — tiny, worker expands it) or
-#: an already-materialized trace (pre-built fleets; whole arrays pickle).
-RackSource = Union[RackSpec, RackTrace]
-
-
-@dataclass(frozen=True)
-class RackPolicyJob:
-    """One unit of work: one policy simulated over one rack.
-
-    ``slot`` is the submission index over the flattened (rack, policy)
-    grid; the driver uses it to re-establish serial order when results
-    complete out of order.  The shared :class:`PowerModel` is *not* part
-    of the job — it ships once per worker via the pool initializer.
-    """
-
-    slot: int
-    policy: str
-    rack: RackSource
-
-
-# Per-worker state installed by the pool initializer / warmed lazily.
-_WORKER_POWER_MODEL: Optional[PowerModel] = None
-#: Most recently expanded rack, keyed by its spec: consecutive policies
-#: of one rack usually land on the same worker (jobs are submitted
-#: rack-major), so the trace is regenerated once, not once per policy.
+#: Most recently expanded rack, keyed by its spec: a rack's policies are
+#: submitted consecutively and usually land on the same process, so the
+#: trace is regenerated once, not once per policy.
 _WORKER_RACK_CACHE: Optional[tuple[RackSpec, RackTrace]] = None
 
 
-def _init_worker(power_model: PowerModel) -> None:
-    """Pool initializer: receive the shared power model exactly once."""
-    global _WORKER_POWER_MODEL
-    _WORKER_POWER_MODEL = power_model
-
-
-def _expand(rack: RackSource, power_model: PowerModel) -> RackTrace:
-    """Materialize a spec (with a one-slot per-worker cache) or pass a
-    pre-built trace through."""
-    global _WORKER_RACK_CACHE
-    if isinstance(rack, RackTrace):
-        return rack
-    if _WORKER_RACK_CACHE is not None and _WORKER_RACK_CACHE[0] == rack:
-        return _WORKER_RACK_CACHE[1]
-    trace = rack.materialize(power_model)
-    _WORKER_RACK_CACHE = (rack, trace)
-    return trace
-
-
-def _run_job(job: RackPolicyJob) -> "tuple[int, RackSimResult]":
+def _run_job(job: "tuple[RackSpec, str]") -> "RackSimResult":
     # Module-level so the spawn start method can pickle it by reference.
     from repro.core.policies import make_policy
     from repro.experiments.largescale import simulate_rack
 
-    power_model = _WORKER_POWER_MODEL
-    if power_model is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("worker used before its initializer ran")
-    trace = _expand(job.rack, power_model)
-    policy = make_policy(job.policy, len(trace.servers))
-    result = simulate_rack(trace, policy, power_model=power_model)
-    return job.slot, result
+    global _WORKER_RACK_CACHE
+    spec, name = job
+    if _WORKER_RACK_CACHE is None or _WORKER_RACK_CACHE[0] != spec:
+        _WORKER_RACK_CACHE = (spec, spec.materialize())
+    trace = _WORKER_RACK_CACHE[1]
+    return simulate_rack(trace, make_policy(name, len(trace.servers)))
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -167,147 +115,86 @@ def resolve_workers(workers: Optional[int]) -> int:
     return workers
 
 
-def run_jobs(fn: "Callable[[_P], _R]", payloads: "Iterable[_P]", *,
-             workers: Optional[int] = 1) -> "list[_R]":
-    """Run ``fn`` over ``payloads``, returning results in payload order.
+def iter_jobs(fn: "Callable[[_P], _R]", payloads: "Iterable[_P]", *,
+              workers: Optional[int] = 1,
+              max_inflight: Optional[int] = None) -> "Iterator[_R]":
+    """Yield ``fn(payload)`` for each payload, in payload order.
 
-    The generic sharding primitive behind the multi-trial and
-    matched-variant experiment sweeps (``repro chaos/recovery/faults/
-    oversub --workers N``): ``fn`` must be a module-level function and
-    every payload must pickle (the pool always uses the ``spawn`` start
-    method).  Results are gathered future-by-future in submission order,
-    so the merge is deterministic at any worker count; ``workers=1``
-    short-circuits to a plain in-process loop — the byte-identity
-    baseline.  A worker exception cancels everything still queued.
+    ``workers=1`` is an in-process loop.  Otherwise ``fn`` runs in a
+    ``spawn`` process pool with a FIFO window of at most
+    ``max_inflight`` (default ``4 * workers``) submitted jobs; the
+    oldest job's result is yielded before another payload is pulled, so
+    ``payloads`` may be a lazy iterable of any length.  Any exception —
+    from a worker or from the consumer closing the generator — cancels
+    every queued job and re-raises.
     """
-    items = list(payloads)
     n_workers = resolve_workers(workers)
-    if n_workers == 1 or len(items) <= 1:
-        results: "list[_R]" = []
-        for item in items:
-            results.append(fn(item))
-            # A finished job's platform is cyclic (Core._server <->
-            # Server.cores, bound-method accrual and flush hooks), so
-            # reference counting never frees it.  Collect here so peak
-            # memory does not depend on when a full collection happens
-            # to fire.
-            gc.collect()
-        return results
-    with ProcessPoolExecutor(max_workers=min(n_workers, len(items)),
+    window = max_inflight if max_inflight is not None else 4 * n_workers
+    if window < 1:
+        raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
+    if n_workers == 1:
+        for payload in payloads:
+            yield fn(payload)
+        return
+    with ProcessPoolExecutor(max_workers=n_workers,
                              mp_context=get_context("spawn")) as pool:
-        futures = [pool.submit(fn, item) for item in items]
+        inflight: "deque[Future[_R]]" = deque()
         try:
-            return [future.result() for future in futures]
+            for payload in payloads:
+                if len(inflight) >= window:
+                    yield inflight.popleft().result()
+                inflight.append(pool.submit(fn, payload))
+            while inflight:
+                yield inflight.popleft().result()
         except BaseException:
-            for future in futures:
+            for future in inflight:
                 future.cancel()
             pool.shutdown(wait=False, cancel_futures=True)
             raise
 
 
+def run_jobs(fn: "Callable[[_P], _R]", payloads: "Iterable[_P]", *,
+             workers: Optional[int] = 1) -> "list[_R]":
+    """Run ``fn`` over ``payloads`` through :func:`iter_jobs` and return
+    the results in payload order.
+
+    The sharding entry point of the multi-trial and matched-variant
+    experiment sweeps (``repro chaos/recovery/faults/oversub --workers
+    N``); never starts more workers than there are payloads.
+    """
+    items = list(payloads)
+    n_workers = min(resolve_workers(workers), max(1, len(items)))
+    results: "list[_R]" = []
+    for result in iter_jobs(fn, items, workers=n_workers):
+        results.append(result)
+        # A finished job's platform is cyclic (Core._server <->
+        # Server.cores, bound-method accrual and flush hooks), so
+        # reference counting never frees it.  Collect here so peak
+        # memory does not depend on when a full collection happens
+        # to fire.
+        gc.collect()
+    return results
+
+
 def iter_rack_policy_results(
-        racks: Iterable[RackSource], policy_names: Sequence[str], *,
-        power_model: PowerModel = DEFAULT_POWER_MODEL,
+        racks: Iterable[RackSpec], policy_names: Sequence[str], *,
         workers: Optional[int] = 1,
         max_inflight: Optional[int] = None,
 ) -> "Iterator[tuple[int, str, RackSimResult]]":
-    """Simulate the (rack, policy) grid, yielding ``(rack_slot,
-    policy_name, result)`` in exact submission order.
+    """Simulate the (rack, policy) grid rack-major, yielding
+    ``(rack_slot, policy_name, result)`` in submission order.
 
-    ``racks`` may be a lazy iterable of specs: the driver materializes
-    nothing beyond the in-flight window, so memory stays bounded while
-    the fleet scales.  Results completing out of order wait in a
-    reorder buffer (never larger than the window) until every earlier
-    slot has been emitted — consumers therefore fold floats in the same
-    order as the ``workers=1`` loop, byte-identically.
-
-    A worker exception cancels all queued jobs and re-raises promptly.
+    ``racks`` may be a lazy iterable of specs: nothing beyond the
+    :func:`iter_jobs` window is expanded or held, so driver memory stays
+    bounded while the fleet scales, and consumers fold floats in the
+    ``workers=1`` order at any worker count.
     """
     names = tuple(policy_names)
     if not names:
         raise ValueError("need at least one policy name")
-    n_workers = resolve_workers(workers)
-
-    if n_workers == 1:
-        from repro.core.policies import make_policy
-        from repro.experiments.largescale import simulate_rack
-
-        for rack_slot, rack in enumerate(racks):
-            trace = (rack.materialize(power_model)
-                     if isinstance(rack, RackSpec) else rack)
-            for name in names:
-                policy = make_policy(name, len(trace.servers))
-                yield rack_slot, name, simulate_rack(
-                    trace, policy, power_model=power_model)
-        return
-
-    window = max_inflight if max_inflight is not None else 4 * n_workers
-    if window < 1:
-        raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
-    jobs = (RackPolicyJob(slot=rack_slot * len(names) + j, policy=name,
-                          rack=rack)
-            for rack_slot, rack in enumerate(racks)
-            for j, name in enumerate(names))
-
-    ready: "dict[int, RackSimResult]" = {}
-    emit_next = 0
-
-    def drain(done: "set[Future[tuple[int, RackSimResult]]]") -> None:
-        for fut in done:
-            slot, result = fut.result()  # re-raises worker exceptions
-            ready[slot] = result
-
-    def emit() -> "Iterator[tuple[int, str, RackSimResult]]":
-        nonlocal emit_next
-        while emit_next in ready:
-            result = ready.pop(emit_next)
-            rack_slot, j = divmod(emit_next, len(names))
-            emit_next += 1
-            yield rack_slot, names[j], result
-
-    with ProcessPoolExecutor(max_workers=n_workers,
-                             mp_context=get_context("spawn"),
-                             initializer=_init_worker,
-                             initargs=(power_model,)) as pool:
-        pending: "set[Future[tuple[int, RackSimResult]]]" = set()
-        try:
-            for job in jobs:
-                while len(pending) >= window:
-                    done, pending = wait(pending,
-                                         return_when=FIRST_COMPLETED)
-                    drain(done)
-                    yield from emit()
-                pending.add(pool.submit(_run_job, job))
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                drain(done)
-                yield from emit()
-        except BaseException:
-            # Fail fast: a worker error (or the consumer abandoning the
-            # generator) must not let the rest of the grid run to
-            # completion behind the scenes.
-            for fut in pending:
-                fut.cancel()
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-
-
-def run_rack_policy_jobs(
-        racks: Sequence[RackSource], policy_names: Sequence[str], *,
-        power_model: PowerModel = DEFAULT_POWER_MODEL,
-        workers: Optional[int] = 1,
-        max_inflight: Optional[int] = None,
-) -> "list[dict[str, RackSimResult]]":
-    """Simulate every (rack, policy) pair and collect everything.
-
-    Returns one ``{policy: RackSimResult}`` dict per rack, in input rack
-    order, regardless of worker completion order.  This materializes the
-    full result grid — fine for pre-built fleets; fleet-scale sweeps
-    should consume :func:`iter_rack_policy_results` and fold instead.
-    """
-    merged: "list[dict[str, RackSimResult]]" = [{} for _ in racks]
-    for rack_slot, name, result in iter_rack_policy_results(
-            racks, policy_names, power_model=power_model, workers=workers,
-            max_inflight=max_inflight):
-        merged[rack_slot][name] = result
-    return merged
+    jobs = ((spec, name) for spec in racks for name in names)
+    for slot, result in enumerate(iter_jobs(_run_job, jobs,
+                                            workers=workers,
+                                            max_inflight=max_inflight)):
+        rack_slot, j = divmod(slot, len(names))
+        yield rack_slot, names[j], result

@@ -30,6 +30,7 @@ so CI asserts bit-identical JSON across repeats.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -73,6 +74,9 @@ class RecoveryScenarioConfig:
     soa_restart_at_fraction: float = 0.5
 
     def __post_init__(self) -> None:
+        # NaN passes every comparison below, so check finiteness first.
+        if not math.isfinite(self.duration_s):
+            raise ValueError(f"duration_s must be finite: {self.duration_s}")
         if self.duration_s < 6 * self.tick_s:
             raise ValueError("scenario too short to contain its phases")
         if self.base_failures_per_year <= 0:

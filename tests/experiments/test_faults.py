@@ -143,6 +143,11 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="too short"):
             FaultScenarioConfig(duration_s=10.0, tick_s=10.0)
 
+    @pytest.mark.parametrize("duration_s", [float("nan"), float("inf")])
+    def test_scenario_config_rejects_non_finite_duration(self, duration_s):
+        with pytest.raises(ValueError, match="finite"):
+            FaultScenarioConfig(duration_s=duration_s)
+
     def test_default_plan_windows_cover_phases(self):
         config = FaultScenarioConfig()
         plan = default_fault_plan(config)

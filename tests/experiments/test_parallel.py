@@ -15,18 +15,19 @@ import pytest
 from repro.cluster.power import DEFAULT_POWER_MODEL
 from repro.cluster.topology import Datacenter, Rack, Server, VirtualMachine
 from repro.core.platform import SmartOClockPlatform
+from repro.core.policies import make_policy
 from repro.experiments.largescale import (
-    compare_policies,
     compare_policies_streaming,
     format_table1,
-    table1,
+    simulate_rack,
+    table1_streaming,
 )
 from repro.experiments.parallel import (
     RackSpec,
+    iter_jobs,
     iter_rack_policy_results,
     resolve_workers,
     run_jobs,
-    run_rack_policy_jobs,
 )
 from repro.traces.synthetic import (
     FleetConfig,
@@ -43,6 +44,21 @@ SMALL_CONFIG = FleetConfig(n_racks=2, weeks=2, seed=21, interval_s=900.0,
 @pytest.fixture(scope="module")
 def small_fleet():
     return generate_fleet(SMALL_CONFIG)
+
+
+def specs_of(config):
+    return [RackSpec(config=config, rack_index=i)
+            for i in range(config.n_racks)]
+
+
+def sweep(specs, policy_names, **kwargs):
+    """Collect ``iter_rack_policy_results`` into one ``{policy: result}``
+    dict per rack, in rack order."""
+    merged = [{} for _ in specs]
+    for rack_slot, name, result in iter_rack_policy_results(
+            specs, policy_names, **kwargs):
+        merged[rack_slot][name] = result
+    return merged
 
 
 class TestResolveWorkers:
@@ -80,43 +96,66 @@ class TestResolveWorkers:
 
 class TestSerialSharding:
     def test_results_keyed_by_rack_and_policy(self, small_fleet):
-        merged = run_rack_policy_jobs(
-            small_fleet.racks, ("Central", "SmartOClock"), workers=1)
+        merged = sweep(specs_of(SMALL_CONFIG), ("Central", "SmartOClock"),
+                       workers=1)
         assert len(merged) == len(small_fleet.racks)
         for rack, per_policy in zip(small_fleet.racks, merged):
             assert set(per_policy) == {"Central", "SmartOClock"}
             for result in per_policy.values():
                 assert result.rack_id == rack.rack_id
 
-    def test_bad_inflight_rejected(self, small_fleet):
-        with pytest.raises(ValueError, match="max_inflight"):
-            run_rack_policy_jobs(small_fleet.racks, ("Central",),
-                                 workers=2, max_inflight=0)
+    def test_bad_inflight_rejected(self):
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="max_inflight"):
+                sweep(specs_of(SMALL_CONFIG), ("Central",),
+                      workers=workers, max_inflight=0)
+
+
+class TestWindowBound:
+    def test_payloads_pulled_lazily(self):
+        """The pool pulls no more than one payload past the window
+        before the oldest result is yielded."""
+        pulled = []
+
+        def payloads():
+            for i in range(20):
+                pulled.append(i)
+                yield i
+
+        results = iter_jobs(abs, payloads(), workers=2, max_inflight=2)
+        first = next(results)
+        pulled_at_first = len(pulled)
+        assert [first] + list(results) == list(range(20))
+        assert pulled_at_first <= 2 + 1
 
 
 class TestProcessPoolByteIdentity:
     """workers=N must reproduce workers=1 exactly — same counters, same
     floats, same rendered table — regardless of completion order."""
 
-    def test_jobs_identical(self, small_fleet):
-        serial = run_rack_policy_jobs(
-            small_fleet.racks, ("Central", "SmartOClock"), workers=1)
-        pooled = run_rack_policy_jobs(
-            small_fleet.racks, ("Central", "SmartOClock"), workers=2,
-            max_inflight=2)
+    def test_jobs_identical(self):
+        specs = specs_of(SMALL_CONFIG)
+        serial = sweep(specs, ("Central", "SmartOClock"), workers=1)
+        pooled = sweep(specs, ("Central", "SmartOClock"), workers=2,
+                       max_inflight=2)
         assert pooled == serial
 
-    def test_compare_policies_identical(self, small_fleet):
-        serial = compare_policies(
-            small_fleet, ("NoWarning", "SmartOClock"), workers=1)
-        pooled = compare_policies(
-            small_fleet, ("NoWarning", "SmartOClock"), workers=2)
+    @pytest.mark.parametrize(("workers", "max_inflight"),
+                             [(2, None), (2, 3), (4, 3)])
+    def test_compare_policies_identical(self, workers, max_inflight):
+        """The online merge folds in submission-slot order: pooled
+        scores are byte-identical to the serial sweep."""
+        names = ("NoWarning", "SmartOClock")
+        serial = compare_policies_streaming(SMALL_CONFIG, names, workers=1)
+        pooled = compare_policies_streaming(SMALL_CONFIG, names,
+                                            workers=workers,
+                                            max_inflight=max_inflight)
         assert pooled == serial
 
-    def test_table1_rendering_identical(self, small_fleet):
-        fleets = {"Tiny": small_fleet}
-        serial = table1(fleets, workers=1)
-        pooled = table1(fleets, workers=2)
+    def test_table1_rendering_identical(self):
+        configs = {"Tiny": SMALL_CONFIG}
+        serial = table1_streaming(configs, workers=1)
+        pooled = table1_streaming(configs, workers=2)
         assert pooled == serial
         assert format_table1(pooled) == format_table1(serial)
 
@@ -163,38 +202,26 @@ class TestSeedShardedIdentity:
     @pytest.mark.parametrize("max_inflight", [1, None])
     def test_worker_expansion_matches_driver(self, small_fleet, workers,
                                              max_inflight):
-        """Property test of ISSUE 6: sweeping RackSpecs (workers expand
-        the traces locally) equals sweeping the driver-materialized
-        racks, for every (workers, max_inflight) combination."""
+        """Sweeping RackSpecs (workers expand the traces locally) equals
+        simulating the driver-materialized racks directly, for every
+        (workers, max_inflight) combination."""
         names = ("Central", "SmartOClock")
-        specs = [RackSpec(config=SMALL_CONFIG, rack_index=i)
-                 for i in range(SMALL_CONFIG.n_racks)]
-        from_specs = run_rack_policy_jobs(specs, names, workers=workers,
-                                          max_inflight=max_inflight)
-        from_traces = run_rack_policy_jobs(small_fleet.racks, names,
-                                           workers=1)
+        from_specs = sweep(specs_of(SMALL_CONFIG), names, workers=workers,
+                           max_inflight=max_inflight)
+        from_traces = [{name: simulate_rack(
+                            rack, make_policy(name, len(rack.servers)))
+                        for name in names}
+                       for rack in small_fleet.racks]
         assert from_specs == from_traces
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_streaming_scores_identical(self, small_fleet, workers):
-        """The online merge folds in submission-slot order: streaming
-        scores are byte-identical to the materialized serial path."""
-        names = ("NoWarning", "SmartOClock")
-        serial = compare_policies(small_fleet, names, workers=1)
-        streamed = compare_policies_streaming(SMALL_CONFIG, names,
-                                              workers=workers,
-                                              max_inflight=3)
-        assert streamed == serial
 
 
 class TestFailFast:
     """A worker exception must surface promptly and cancel queued jobs
     instead of letting the rest of the grid run to completion."""
 
-    def test_serial_path_raises(self, small_fleet):
+    def test_serial_path_raises(self):
         with pytest.raises(KeyError, match="Bogus"):
-            run_rack_policy_jobs(small_fleet.racks, ("Central", "Bogus"),
-                                 workers=1)
+            sweep(specs_of(SMALL_CONFIG), ("Central", "Bogus"), workers=1)
 
     def test_pool_poisoned_policy_raises(self):
         """Poisoned policy on a multi-rack grid: the sweep dies on the
@@ -202,19 +229,16 @@ class TestFailFast:
         take many times longer if the remaining grid ran out)."""
         config = FleetConfig(n_racks=6, weeks=2, seed=7, interval_s=1800.0,
                              servers_per_rack_min=3, servers_per_rack_max=3)
-        specs = [RackSpec(config=config, rack_index=i)
-                 for i in range(config.n_racks)]
         with pytest.raises(KeyError, match="Bogus"):
-            run_rack_policy_jobs(specs, ("Bogus", "Central"), workers=2,
-                                 max_inflight=2)
+            sweep(specs_of(config), ("Bogus", "Central"), workers=2,
+                  max_inflight=2)
 
     def test_generator_raises_before_later_slots(self):
         """Consuming the stream: the error arrives as soon as its slot
         would, not after the whole grid."""
         config = FleetConfig(n_racks=4, weeks=2, seed=7, interval_s=1800.0,
                              servers_per_rack_min=3, servers_per_rack_max=3)
-        specs = [RackSpec(config=config, rack_index=i)
-                 for i in range(config.n_racks)]
+        specs = specs_of(config)
         seen = []
         with pytest.raises(KeyError, match="Bogus"):
             for rack_slot, name, _result in iter_rack_policy_results(

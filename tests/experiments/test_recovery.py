@@ -92,6 +92,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="too short"):
             RecoveryScenarioConfig(duration_s=50.0, tick_s=10.0)
 
+    @pytest.mark.parametrize("duration_s", [float("nan"), float("inf")])
+    def test_rejects_non_finite_duration(self, duration_s):
+        with pytest.raises(ValueError, match="finite"):
+            RecoveryScenarioConfig(duration_s=duration_s)
+
     def test_rejects_nonpositive_base_rate(self):
         with pytest.raises(ValueError, match="base_failures_per_year"):
             RecoveryScenarioConfig(base_failures_per_year=0.0)

@@ -86,6 +86,14 @@ class TestNumericValidation:
         ["recovery", "--workers", "-1"],
         ["faults", "--workers", "0"],
         ["oversub", "--workers", "0"],
+        ["faults", "--duration", "nan"],
+        ["faults", "--duration", "inf"],
+        ["faults", "--duration", "-5"],
+        ["faults", "--drop-prob", "1.5"],
+        ["cluster", "--duration", "nan"],
+        ["cluster", "--duration", "-1"],
+        ["recovery", "--duration", "inf"],
+        ["fig7", "--days", "0"],
     ])
     def test_rejected_with_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
