@@ -46,6 +46,14 @@ class FrequencyPlan:
                 f"{self.base_ghz}/{self.turbo_ghz}/{self.overclock_max_ghz}")
         if self.step_ghz <= 0:
             raise ValueError(f"step must be positive, got {self.step_ghz}")
+        # The hazard path takes the worst core voltage as the voltage at
+        # the highest core frequency, which needs a monotone V/f curve.
+        if self.volts_per_ghz_below_turbo < 0 \
+                or self.volts_per_ghz_above_turbo < 0:
+            raise ValueError(
+                "V/f slopes must be >= 0, got "
+                f"{self.volts_per_ghz_below_turbo}/"
+                f"{self.volts_per_ghz_above_turbo}")
 
     def voltage(self, freq_ghz: float) -> float:
         """Operating voltage at ``freq_ghz`` (piecewise-linear V/f curve)."""

@@ -24,10 +24,12 @@ Edge cases the paper leaves implicit, resolved here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.core.types import ServerProfileReport
+from repro.recovery.checkpoint import EncodedMapping
 
 __all__ = ["BudgetAssignment", "compute_heterogeneous_budgets",
            "fair_share_budgets"]
@@ -47,6 +49,10 @@ class BudgetAssignment:
     delivery can never roll a server back to a superseded assignment.
     Hand-built assignments default to epoch 0 (always installable on a
     fresh sOA).
+
+    The budget arrays are made read-only: one assignment is pushed to
+    every sOA on the rack, and its checkpoint form is built once and
+    shared by all of their checkpoints.
     """
 
     slot_s: float
@@ -56,6 +62,18 @@ class BudgetAssignment:
     def __post_init__(self) -> None:
         if self.epoch < 0:
             raise ValueError(f"epoch must be >= 0: {self.epoch}")
+        for series in self.budgets.values():
+            series.flags.writeable = False
+
+    @cached_property
+    def checkpoint_budgets(self) -> EncodedMapping:
+        """The budgets as an sOA checkpoint stores them: ``{server_id:
+        floats}`` in server order, with its canonical JSON.  Built on
+        first use; every checkpoint referencing this assignment shares
+        it."""
+        return EncodedMapping({
+            sid: tuple(np.asarray(series, dtype=float).tolist())
+            for sid, series in sorted(self.budgets.items())})
 
     @property
     def plan_horizon(self) -> float:

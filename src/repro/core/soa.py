@@ -293,11 +293,7 @@ class ServerOverclockingAgent:
                 "slot_s": self._assignment.slot_s,
                 "epoch": self._assignment.epoch,
                 "received_at": self._assignment_received_at,
-                "budgets": {
-                    sid: [float(x) for x in series]
-                    for sid, series in sorted(
-                        self._assignment.budgets.items())
-                },
+                "budgets": self._assignment.checkpoint_budgets,
             }
         payload = {
             "server_id": self.server.server_id,
@@ -696,6 +692,13 @@ class ServerOverclockingAgent:
             pending[-1][1] += 1
         else:
             pending.append([dt, 1])
+
+    def worst_wear_ratio(self) -> float:
+        """The largest per-core wear ratio, replaying the pending wear
+        ledger once rather than once per counter read."""
+        self._flush_wear()
+        return max((c.flushed_wear_ratio() for c in self.wear_counters),
+                   default=0.0)
 
     def _flush_wear(self) -> None:
         """Replay the pending wear ledger into the counters.

@@ -134,15 +134,18 @@ class ClusterConfig:
 @dataclass(frozen=True)
 class _TickEntry:
     weight: float           # requests contributed (rate * dt)
-    lam: float              # per-instance arrival rate (possibly clamped)
-    mu: float               # per-worker service rate at the tick's freq
-    servers: int
+    queue: MMcQueue         # per-instance station at the tick's freq
     overload_scale: float   # latency multiplier when rho exceeded clamp
     slo_ms: float
 
 
 class LatencyAggregator:
-    """Request-weighted mixture of per-tick response-time distributions."""
+    """Request-weighted mixture of per-tick response-time distributions.
+
+    Entries are append-only and each holds its tick's queue, so a
+    queue's Erlang-C probability is computed once and reused by every
+    tail evaluation of every query.
+    """
 
     def __init__(self) -> None:
         self._entries: list[_TickEntry] = []
@@ -157,8 +160,8 @@ class LatencyAggregator:
         if offered_rho > _RHO_CLAMP:
             scale = 1.0 + _OVERLOAD_SLOPE * (offered_rho - _RHO_CLAMP)
         lam = rho * servers * mu
-        self._entries.append(_TickEntry(weight, lam, mu, servers, scale,
-                                        slo_ms))
+        self._entries.append(_TickEntry(
+            weight, MMcQueue(lam, mu, servers), scale, slo_ms))
         self._total_weight += weight
 
     @property
@@ -166,9 +169,8 @@ class LatencyAggregator:
         return self._total_weight
 
     def _tail_at(self, entry: _TickEntry, t_ms: float) -> float:
-        queue = MMcQueue(entry.lam, entry.mu, entry.servers)
         t = (t_ms / 1000.0) / entry.overload_scale
-        return queue.response_tail(t)
+        return entry.queue.response_tail(t)
 
     def tail(self, t_ms: float) -> float:
         """P(latency > t) over the whole mixture."""
@@ -214,8 +216,7 @@ class LatencyAggregator:
             raise ValueError("no requests recorded")
         total = 0.0
         for e in self._entries:
-            queue = MMcQueue(e.lam, e.mu, e.servers)
-            total += e.weight * queue.mean_response() * 1000.0 \
+            total += e.weight * e.queue.mean_response() * 1000.0 \
                 * e.overload_scale
         return total / self._total_weight
 

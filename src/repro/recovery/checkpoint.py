@@ -10,6 +10,14 @@ restored history); nothing is replayed.
 Checkpoints are plain JSON-compatible payloads so equality is exact and
 the round-trip property (checkpoint → restore → checkpoint is
 bit-identical) is testable via canonical fingerprints.
+
+A checkpoint body is composed from per-section fragments rather than
+encoded whole: a value many checkpoints carry unchanged (a rack's budget
+assignment, which every sOA on the rack checkpoints every round) is an
+:class:`EncodedMapping`, encoded once and spliced into each body.  The
+composed bytes equal one whole-body ``json.dumps`` (:func:`reference_body`,
+the oracle the tests hold them to), so fingerprints and corruption
+positions do not depend on how the body was built.
 """
 
 from __future__ import annotations
@@ -18,10 +26,11 @@ import hashlib
 import json
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Iterator, Mapping, Optional, Union
 
 __all__ = ["SoaCheckpoint", "GoaCheckpoint", "RestoreReport",
-           "CheckpointLoad", "DurableStore"]
+           "CheckpointLoad", "DurableStore", "EncodedMapping",
+           "reference_body"]
 
 
 def _canonical_json(payload: Any) -> str:
@@ -30,6 +39,51 @@ def _canonical_json(payload: Any) -> str:
 
 def _sha256(body: bytes) -> str:
     return hashlib.sha256(body).hexdigest()
+
+
+class EncodedMapping(Mapping[str, Any]):
+    """A read-only JSON object that carries its own canonical encoding.
+
+    Built once from plain JSON data with immutable values (tuples, not
+    lists) and shared by every checkpoint that references it; each body
+    splices :attr:`fragment` instead of re-encoding the data.
+    """
+
+    __slots__ = ("_items", "fragment")
+
+    def __init__(self, items: Mapping[str, Any]) -> None:
+        self._items = dict(items)
+        self.fragment = _canonical_json(self._items)
+
+    def __getitem__(self, key: str) -> Any:
+        return self._items[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+
+def _object(members: dict[str, str]) -> str:
+    """A canonical JSON object from already-encoded member values."""
+    return "{" + ",".join(f"{_canonical_json(key)}:{members[key]}"
+                          for key in sorted(members)) + "}"
+
+
+def _section_json(value: Any) -> str:
+    """Canonical JSON of one payload section.
+
+    An :class:`EncodedMapping` is spliced verbatim and a dict holding one
+    is composed member by member; anything else is encoded whole.
+    """
+    if isinstance(value, EncodedMapping):
+        return value.fragment
+    if isinstance(value, dict) and any(
+            isinstance(member, EncodedMapping) for member in value.values()):
+        return _object({key: _section_json(member)
+                        for key, member in value.items()})
+    return _canonical_json(value)
 
 
 @dataclass(frozen=True)
@@ -42,15 +96,29 @@ class SoaCheckpoint:
 
     def canonical_body(self) -> bytes:
         """Canonical JSON encoding — what the durable store fingerprints
-        (and what a corruption fault flips bytes of)."""
-        return _canonical_json(
-            {"server_id": self.server_id, "taken_at": self.taken_at,
-             "payload": self.payload}).encode("utf-8")
+        (and what a corruption fault flips bytes of).  Composed from one
+        fragment per payload section; byte-identical to
+        :func:`reference_body`."""
+        payload = _object({key: _section_json(value)
+                           for key, value in self.payload.items()})
+        return _object({"payload": payload,
+                        "server_id": _canonical_json(self.server_id),
+                        "taken_at": _canonical_json(self.taken_at),
+                        }).encode("utf-8")
 
     def fingerprint(self) -> str:
         """SHA-256 over the canonical JSON encoding of the snapshot —
         the identity used by the bit-identical round-trip tests."""
         return _sha256(self.canonical_body())
+
+
+def reference_body(checkpoint: SoaCheckpoint) -> bytes:
+    """The body as one whole ``json.dumps`` of the snapshot: the oracle
+    :meth:`SoaCheckpoint.canonical_body` must equal byte for byte."""
+    return json.dumps(
+        {"server_id": checkpoint.server_id, "taken_at": checkpoint.taken_at,
+         "payload": checkpoint.payload},
+        sort_keys=True, separators=(",", ":"), default=dict).encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -177,11 +245,11 @@ class DurableStore:
     def _store(self, key: str, value: _AnyCheckpoint,
                taken_at: float) -> None:
         self.checkpoints_saved += 1
-        stored = _Stored(value=value, fingerprint=value.fingerprint())
+        body = value.canonical_body()
+        stored = _Stored(value=value, fingerprint=_sha256(body))
         if self.corruption_hook is not None \
                 and self.corruption_hook(key, taken_at):
-            stored.corrupt_body = _flip_byte(
-                value.canonical_body(), key, taken_at)
+            stored.corrupt_body = _flip_byte(body, key, taken_at)
             self.checkpoints_corrupted += 1
         self._latest[key] = stored
 

@@ -135,14 +135,14 @@ class ServerLifecycleManager:
 
     def _hazard_inputs(self, soa: "ServerOverclockingAgent"
                        ) -> tuple[float, float]:
-        """(worst wear ratio, worst current core voltage) for the server."""
-        wear_ratio = max(
-            (c.wear_ratio for c in soa.wear_counters), default=0.0)
+        """(worst wear ratio, worst current core voltage) for the server.
+
+        The V/f curve is monotone, so the worst voltage is the voltage
+        at the highest core frequency."""
         plan = soa.server.plan
-        volts = max((plan.voltage(core.freq_ghz)
-                     for core in soa.server.cores),
-                    default=plan.voltage(plan.turbo_ghz))
-        return wear_ratio, volts
+        freq = max((core.freq_ghz for core in soa.server.cores),
+                   default=plan.turbo_ghz)
+        return soa.worst_wear_ratio(), plan.voltage(freq)
 
     def _crash_draw(self, server_id: str, now: float, prob: float) -> bool:
         """Per-event deterministic hazard coin flip."""

@@ -140,9 +140,16 @@ class CoreWearoutCounter:
     def wear_ratio(self) -> float:
         """Wear relative to elapsed time: 1.0 = ageing at the vendor
         reference rate; < 1 accumulates credits; > 1 burns lifetime."""
-        if self.elapsed_seconds == 0:
+        if self._flush_hook is not None:
+            self._flush_hook()
+        return self.flushed_wear_ratio()
+
+    def flushed_wear_ratio(self) -> float:
+        """:attr:`wear_ratio` without running the flush hook, for an
+        owner that has just flushed its pending accrual itself."""
+        if self._elapsed_seconds == 0:
             return 0.0
-        return self.wear_seconds / self.elapsed_seconds
+        return self._wear_seconds / self._elapsed_seconds
 
     @property
     def lifetime_credit_seconds(self) -> float:

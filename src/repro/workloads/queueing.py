@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -46,6 +47,7 @@ def frequency_speedup(freq_ghz: float, base_freq_ghz: float,
     return 1.0 / ((1.0 - sensitivity) + sensitivity / ratio)
 
 
+@dataclass(frozen=True)
 class MMcQueue:
     """Closed-form M/M/c queue.
 
@@ -53,19 +55,25 @@ class MMcQueue:
     ``servers`` (c).  Stable only for ρ = λ/(cμ) < 1; latency queries on an
     unstable queue raise, because an overloaded microservice has unbounded
     tail latency and callers must handle that explicitly.
+
+    Immutable, so the Erlang-C probability — which every tail, quantile
+    and mean query needs and none of them varies — is computed once per
+    queue, not once per query or per bisection step.
     """
 
-    def __init__(self, arrival_rate: float, service_rate: float,
-                 servers: int) -> None:
-        if arrival_rate < 0:
-            raise ValueError(f"arrival rate must be >= 0: {arrival_rate}")
-        if service_rate <= 0:
-            raise ValueError(f"service rate must be > 0: {service_rate}")
-        if servers < 1:
-            raise ValueError(f"need at least 1 server: {servers}")
-        self.arrival_rate = arrival_rate
-        self.service_rate = service_rate
-        self.servers = servers
+    arrival_rate: float
+    service_rate: float
+    servers: int
+
+    def __post_init__(self) -> None:
+        if self.arrival_rate < 0:
+            raise ValueError(
+                f"arrival rate must be >= 0: {self.arrival_rate}")
+        if self.service_rate <= 0:
+            raise ValueError(
+                f"service rate must be > 0: {self.service_rate}")
+        if self.servers < 1:
+            raise ValueError(f"need at least 1 server: {self.servers}")
 
     @property
     def utilization(self) -> float:
@@ -78,6 +86,10 @@ class MMcQueue:
 
     def erlang_c(self) -> float:
         """Probability that an arriving request must wait (Erlang-C)."""
+        return self._erlang_c
+
+    @cached_property
+    def _erlang_c(self) -> float:
         if self.arrival_rate == 0:
             return 0.0
         if not self.stable:
@@ -115,11 +127,15 @@ class MMcQueue:
         rate θ = cμ - λ; S ~ Exp(μ) independent of W.
         """
         self._require_stable()
+        return self._tail(t)
+
+    def _tail(self, t: float) -> float:
+        """:meth:`response_tail` of a queue already checked stable."""
         if t < 0:
             return 1.0
         mu = self.service_rate
         theta = self.servers * mu - self.arrival_rate
-        pw = self.erlang_c()
+        pw = self._erlang_c
         if abs(mu - theta) < 1e-12 * mu:
             # Degenerate case: identical rates, the convolution integral
             # produces a t * e^{-mu t} term.
@@ -139,13 +155,13 @@ class MMcQueue:
         self._require_stable()
         target = 1.0 - q
         lo, hi = 0.0, 1.0 / self.service_rate
-        while self.response_tail(hi) > target:
+        while self._tail(hi) > target:
             hi *= 2.0
             if hi > 1e9:
                 raise RuntimeError("quantile search diverged")
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if self.response_tail(mid) > target:
+            if self._tail(mid) > target:
                 lo = mid
             else:
                 hi = mid

@@ -25,6 +25,25 @@ class TestFrequencyPlan:
         with pytest.raises(ValueError):
             FrequencyPlan(step_ghz=0.0)
 
+    def test_negative_voltage_slope_rejected(self):
+        # A falling V/f segment would break "worst voltage = voltage at
+        # the highest frequency", which the hazard path relies on.
+        with pytest.raises(ValueError):
+            FrequencyPlan(volts_per_ghz_below_turbo=-0.1)
+        with pytest.raises(ValueError):
+            FrequencyPlan(volts_per_ghz_above_turbo=-1.0)
+
+    @given(below=st.floats(min_value=0.0, max_value=2.0),
+           above=st.floats(min_value=0.0, max_value=2.0),
+           freqs=st.lists(st.floats(min_value=0.1, max_value=5.0),
+                          min_size=1, max_size=16))
+    def test_worst_voltage_is_voltage_at_highest_frequency(
+            self, below, above, freqs):
+        plan = FrequencyPlan(volts_per_ghz_below_turbo=below,
+                             volts_per_ghz_above_turbo=above)
+        assert plan.voltage(max(freqs)) == max(
+            plan.voltage(f) for f in freqs)
+
     def test_voltage_at_turbo(self):
         plan = FrequencyPlan()
         assert plan.voltage(plan.turbo_ghz) == pytest.approx(

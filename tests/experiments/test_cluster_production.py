@@ -9,11 +9,14 @@ import dataclasses
 import pytest
 
 from repro.experiments.cluster import (
+    _OVERLOAD_SLOPE,
+    _RHO_CLAMP,
     ClusterConfig,
     LatencyAggregator,
     run_environment,
 )
 from repro.experiments.production import fig16_service_b, fig17_service_c
+from repro.workloads import queueing
 
 
 def fast_config(**kwargs):
@@ -75,6 +78,100 @@ class TestLatencyAggregator:
         agg.add_tick(weight=10.0, offered_rho=0.7, mu=100.0, servers=2,
                      slo_ms=30.0)
         assert 0.0 <= agg.missed_slo_fraction() <= 1.0
+
+
+class _OracleMixture:
+    """The aggregator rebuilt entry by entry: every tail evaluation
+    constructs its entry's queue afresh, so Erlang-C is recomputed at
+    every bisection step of every query."""
+
+    def __init__(self, ticks):
+        self.entries = []
+        for weight, offered_rho, mu, servers, slo_ms in ticks:
+            rho = min(offered_rho, _RHO_CLAMP)
+            scale = 1.0
+            if offered_rho > _RHO_CLAMP:
+                scale = 1.0 + _OVERLOAD_SLOPE * (offered_rho - _RHO_CLAMP)
+            self.entries.append(
+                (weight, rho * servers * mu, mu, servers, scale, slo_ms))
+        self.total = 0.0
+        for entry in self.entries:
+            self.total += entry[0]
+
+    def tail(self, t_ms):
+        return sum(w * queueing.MMcQueue(lam, mu, c).response_tail(
+                       (t_ms / 1000.0) / scale)
+                   for w, lam, mu, c, scale, _ in self.entries) / self.total
+
+    def quantile_ms(self, q):
+        target = 1.0 - q
+        lo, hi = 0.0, 1.0
+        while self.tail(hi) > target:
+            hi *= 2.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if self.tail(mid) > target:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    def missed_slo_fraction(self):
+        return sum(w * queueing.MMcQueue(lam, mu, c).response_tail(
+                       (slo / 1000.0) / scale)
+                   for w, lam, mu, c, scale, slo in self.entries) / self.total
+
+    def mean_ms(self):
+        total = 0.0
+        for w, lam, mu, c, scale, _ in self.entries:
+            queue = queueing.MMcQueue(lam, mu, c)
+            total += w * queue.mean_response() * 1000.0 * scale
+        return total / self.total
+
+
+# (weight, offered_rho, mu, servers, slo_ms): idle ticks (lambda = 0),
+# the degenerate mu == theta branch (rho = 0.5 at c = 2), ordinary
+# loads, and overloaded ticks past the clamp (latency scaled up).
+AGGREGATOR_TICKS = [
+    (10.0, 0.0, 100.0, 4, 50.0),
+    (25.0, 0.5, 80.0, 2, 40.0),
+    (40.0, 0.7, 200.0, 4, 30.0),
+    (5.0, 0.93, 150.0, 8, 20.0),
+    (12.5, 1.2, 100.0, 4, 50.0),
+    (3.0, 2.5, 60.0, 1, 80.0),
+    (7.0, 0.98, 100.0, 3, 25.0),
+]
+
+
+class TestAggregatorHoistEquality:
+    @pytest.mark.parametrize("n", [1, 2, 4, len(AGGREGATOR_TICKS)])
+    def test_equals_entry_by_entry_oracle(self, n):
+        ticks = AGGREGATOR_TICKS[:n]
+        agg = LatencyAggregator()
+        for weight, rho, mu, servers, slo in ticks:
+            agg.add_tick(weight=weight, offered_rho=rho, mu=mu,
+                         servers=servers, slo_ms=slo)
+        oracle = _OracleMixture(ticks)
+        for q in (0.5, 0.9, 0.99):
+            assert agg.quantile_ms(q) == oracle.quantile_ms(q)
+        assert agg.p99_ms() == oracle.quantile_ms(0.99)
+        assert agg.missed_slo_fraction() == oracle.missed_slo_fraction()
+        assert agg.mean_ms() == oracle.mean_ms()
+
+    def test_appending_after_a_query(self):
+        # Entries are append-only: a tick added after a query joins the
+        # mixture exactly as if it had been there from the start.
+        agg = LatencyAggregator()
+        for weight, rho, mu, servers, slo in AGGREGATOR_TICKS[:3]:
+            agg.add_tick(weight=weight, offered_rho=rho, mu=mu,
+                         servers=servers, slo_ms=slo)
+        agg.p99_ms()
+        for weight, rho, mu, servers, slo in AGGREGATOR_TICKS[3:]:
+            agg.add_tick(weight=weight, offered_rho=rho, mu=mu,
+                         servers=servers, slo_ms=slo)
+        oracle = _OracleMixture(AGGREGATOR_TICKS)
+        assert agg.p99_ms() == oracle.quantile_ms(0.99)
+        assert agg.mean_ms() == oracle.mean_ms()
 
 
 class TestClusterEnvironments:

@@ -151,6 +151,25 @@ class TestEagerVsLazy:
             assert probed[key] == undisturbed[key], \
                 f"mid-run reads perturbed {key}"
 
+    def test_hazard_reads_keep_ledgers_identical(self):
+        # The hazard path reads every server's worst wear ratio each
+        # tick; that read replays the pending ledger, and must leave
+        # the eager and lazy runs as identical as an unread run.
+        def read_hazard_inputs(platform, servers):
+            for soa in platform.soas.values():
+                soa.worst_wear_ratio()
+
+        undisturbed = _run_faulted_platform(7, eager=False)
+        lazy = _run_faulted_platform(7, eager=False,
+                                     probe=read_hazard_inputs)
+        eager = _run_faulted_platform(7, eager=True,
+                                      probe=read_hazard_inputs)
+        for key in eager:
+            assert lazy[key] == eager[key], \
+                f"hazard reads: eager/lazy diverged on {key}"
+            assert lazy[key] == undisturbed[key], \
+                f"hazard reads perturbed {key}"
+
     def test_eager_flag_defaults_off(self):
         assert Server("s0", _MODEL).eager_accounting is False
 

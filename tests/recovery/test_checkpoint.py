@@ -1,7 +1,12 @@
 """Checkpoint/restore of sOA durable state: store semantics, grant
-revocation rules, stale-margin re-derivation, and the bit-identical
-round-trip property."""
+revocation rules, stale-margin re-derivation, the bit-identical
+round-trip property, and the composed checkpoint body (shared
+assignment fragment, byte-equal to one whole-body encode)."""
 
+import hashlib
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,11 +16,14 @@ from repro.cluster.topology import Datacenter, Rack, Server, VirtualMachine
 from repro.core.config import SmartOClockConfig
 from repro.core.platform import SmartOClockPlatform
 from repro.core.workload_intelligence import MetricsTriggerPolicy
+from repro.core.budgets import BudgetAssignment
 from repro.recovery.checkpoint import (
     DurableStore,
     GoaCheckpoint,
     RestoreReport,
     SoaCheckpoint,
+    _flip_byte,
+    reference_body,
 )
 
 TURBO = DEFAULT_POWER_MODEL.plan.turbo_ghz
@@ -300,3 +308,133 @@ class TestRoundTripProperty:
         after = soa.build_checkpoint(now)
         assert before.payload == after.payload
         assert before.fingerprint() == after.fingerprint()
+
+
+def pushed_platform(utilization=0.8):
+    """``overclocked_platform`` with a budget assignment pushed to every
+    sOA on the rack."""
+    platform, soa, vm = overclocked_platform(utilization=utilization)
+    assert platform.goas["r0"].recompute_budgets(10.0) is not None
+    return platform, soa, vm
+
+
+def assert_composed_matches_reference(checkpoint):
+    body = checkpoint.canonical_body()
+    assert body == reference_body(checkpoint)
+    assert checkpoint.fingerprint() == hashlib.sha256(
+        reference_body(checkpoint)).hexdigest()
+
+
+class TestComposedBody:
+    def test_plain_payload_matches_reference(self):
+        assert_composed_matches_reference(checkpoint())
+
+    @given(n_ticks=st.integers(min_value=1, max_value=20),
+           utilization=st.floats(min_value=0.2, max_value=1.0),
+           overclock=st.booleans(),
+           push=st.booleans(),
+           crash_restore=st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_composed_equals_whole_encode(self, n_ticks, utilization,
+                                          overclock, push, crash_restore):
+        platform, servers = build()
+        vm = VirtualMachine(8, utilization=utilization)
+        servers[0].place_vm(vm)
+        service = platform.register_service(
+            "svc", metrics_policy=MetricsTriggerPolicy(consecutive=1))
+        platform.attach_vm("svc", vm)
+        if overclock:
+            service.observe(0.0, 9.5, 10.0)
+        now = 0.0
+        for i in range(n_ticks):
+            now = i * 10.0
+            platform.tick(now, dt=10.0)
+        if push:
+            assert platform.goas["r0"].recompute_budgets(now) is not None
+        if crash_restore:
+            soa = platform.soas["s0"]
+            saved = soa.build_checkpoint(now)
+            soa.crash(now)
+            soa.restart(now + 5.0, saved)
+        for soa in platform.soas.values():
+            cp = soa.build_checkpoint(now + 10.0)
+            assert (cp.payload["assignment"] is None) == (not push)
+            assert_composed_matches_reference(cp)
+
+
+class TestSharedAssignmentFragment:
+    def test_rack_shares_one_form_per_push(self):
+        platform, soa, vm = pushed_platform()
+        round_one = [s.build_checkpoint(20.0)
+                     for s in platform.soas.values()]
+        forms = [cp.payload["assignment"]["budgets"] for cp in round_one]
+        assert len(forms) == 3
+        assert all(form is forms[0] for form in forms)
+        # A later round under the same assignment still shares it.
+        again = platform.soas["s1"].build_checkpoint(30.0)
+        assert again.payload["assignment"]["budgets"] is forms[0]
+        # A push with a higher epoch brings a new form.
+        epoch = round_one[0].payload["assignment"]["epoch"]
+        assert platform.goas["r0"].recompute_budgets(40.0) is not None
+        newer = platform.soas["s0"].build_checkpoint(50.0)
+        assert newer.payload["assignment"]["epoch"] > epoch
+        assert newer.payload["assignment"]["budgets"] is not forms[0]
+        for cp in round_one + [again, newer]:
+            assert_composed_matches_reference(cp)
+
+
+def _section_span(body, payload, section):
+    """[start, end) of ``section``'s value inside the encoded body."""
+    fragment = json.dumps(payload[section], sort_keys=True,
+                          separators=(",", ":"), default=dict).encode()
+    start = body.index(f'"{section}":'.encode() + fragment) \
+        + len(section) + 3
+    return start, start + len(fragment)
+
+
+class TestSectionCorruption:
+    SECTIONS = ("wear_counters", "epoch_budgets", "templates", "grants",
+                "assignment")
+
+    @pytest.mark.parametrize("section", SECTIONS)
+    def test_flip_in_each_section_is_detected(self, section):
+        platform, soa, vm = pushed_platform()
+        payload = soa.build_checkpoint(20.0).payload
+        assert payload["grants"] and payload["assignment"] is not None
+        # Taken-at values of one printed width keep every span fixed.
+        candidates = [float(t) for t in range(1000, 10000)]
+        body = SoaCheckpoint("s0", candidates[0], payload).canonical_body()
+        start, end = _section_span(body, payload, section)
+        for taken_at in candidates:
+            cp = SoaCheckpoint("s0", taken_at, payload)
+            flipped = _flip_byte(cp.canonical_body(), "s0", taken_at)
+            index = next(i for i, (a, b) in enumerate(
+                zip(flipped, cp.canonical_body())) if a != b)
+            if start <= index < end:
+                break
+        else:
+            pytest.fail(f"no taken_at flips a byte of {section}")
+        store = DurableStore(corruption_hook=lambda key, at: True)
+        store.save(cp)
+        load = store.load_verified("s0")
+        assert load.corrupted and load.checkpoint is None
+        soa.crash(taken_at)
+        report = soa.restart(taken_at + 1.0, load.checkpoint)
+        assert report.cold_start
+        assert soa._assignment is None and soa.active_grants == 0
+
+
+class TestReadOnlyAssignment:
+    def test_budget_arrays_reject_in_place_writes(self):
+        assignment = BudgetAssignment(
+            slot_s=300.0, budgets={"a": np.array([1.0, 2.0])})
+        with pytest.raises(ValueError):
+            assignment.budgets["a"][0] = 5.0
+        with pytest.raises(ValueError):
+            assignment.budgets["a"] += 1.0
+
+    def test_pushed_assignment_is_read_only(self):
+        platform, soa, vm = pushed_platform()
+        series = soa._assignment.budgets["s0"]
+        with pytest.raises(ValueError):
+            series[0] = 0.0

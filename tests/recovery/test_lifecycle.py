@@ -2,6 +2,8 @@
 quarantine enforcement, sOA process restarts, and gOA membership."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.power import DEFAULT_POWER_MODEL
 from repro.cluster.topology import Datacenter, Rack, Server, VirtualMachine
@@ -285,3 +287,57 @@ class TestGoaMembership:
         assert goa.dead_servers == []
         assert goa.servers_revived == 1
         assert "s0" in goa.assignment.budgets
+
+
+def per_core_hazard_inputs(soa):
+    """The hazard inputs read core by core: every counter read flushes
+    the wear ledger, every core's voltage is evaluated."""
+    wear_ratio = max((c.wear_ratio for c in soa.wear_counters), default=0.0)
+    plan = soa.server.plan
+    volts = max((plan.voltage(core.freq_ghz) for core in soa.server.cores),
+                default=plan.voltage(plan.turbo_ghz))
+    return wear_ratio, volts
+
+
+OPS = st.lists(
+    st.tuples(st.sampled_from(["tick", "tick", "freq", "util", "place",
+                               "remove"]),
+              st.integers(min_value=0, max_value=2),
+              st.floats(min_value=0.0, max_value=1.0)),
+    min_size=1, max_size=40)
+
+
+class TestHazardInputs:
+    @given(ops=OPS)
+    @settings(max_examples=30, deadline=None)
+    def test_equal_to_per_core_form(self, ops):
+        platform, servers = build(hazard=NULL_HAZARD)
+        attach(platform, servers, n_cores=8, utilization=0.6)
+        plan = DEFAULT_POWER_MODEL.plan
+        lifecycle = platform.lifecycle
+        now = 0.0
+        for step, (kind, index, x) in enumerate(ops):
+            server = servers[index]
+            vms = sorted(server.vms.values(), key=lambda v: v.vm_id)
+            if kind == "tick":
+                platform.tick(now, dt=10.0)
+                now += 10.0
+            elif kind == "freq" and vms:
+                # Anywhere from base to the overclock ceiling.
+                server.set_vm_frequency(vms[0], plan.base_ghz + x * (
+                    plan.overclock_max_ghz - plan.base_ghz))
+            elif kind == "util" and vms:
+                vms[-1].set_utilization(max(0.05, x))
+            elif kind == "place" and server.free_cores >= 4:
+                server.place_vm(VirtualMachine(4, utilization=max(0.05, x)))
+            elif kind == "remove" and vms:
+                server.remove_vm(vms[-1])
+            for soa in platform.soas.values():
+                # Alternate which form flushes the pending ledger first.
+                if step % 2:
+                    new = lifecycle._hazard_inputs(soa)
+                    old = per_core_hazard_inputs(soa)
+                else:
+                    old = per_core_hazard_inputs(soa)
+                    new = lifecycle._hazard_inputs(soa)
+                assert new == old

@@ -196,3 +196,59 @@ class TestQueueSimulator:
     def test_quantile_api(self):
         sim = simulate_mgc(1.0, 2.0, 1, n_requests=5000, seed=1)
         assert sim.quantile(0.5) <= sim.quantile(0.99)
+
+
+def _fresh_tail(lam, mu, c, t):
+    """P(T > t) from a queue built for this one evaluation, so Erlang-C
+    is recomputed at every call (the pre-hoist cost model)."""
+    return MMcQueue(lam, mu, c).response_tail(t)
+
+
+def oracle_response_quantile(lam, mu, c, q):
+    """The bisection of :meth:`MMcQueue.response_quantile`, evaluating
+    the tail from scratch at every step."""
+    target = 1.0 - q
+    lo, hi = 0.0, 1.0 / mu
+    while _fresh_tail(lam, mu, c, hi) > target:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _fresh_tail(lam, mu, c, mid) > target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-12 * max(1.0, hi):
+            break
+    return 0.5 * (lo + hi)
+
+
+# (lambda, mu, c): idle, M/M/1, wide stations, near-saturation, and the
+# degenerate mu == theta = c*mu - lambda branch (lambda = (c-1)*mu).
+QUEUE_GRID = [
+    (0.0, 1.0, 1), (0.0, 100.0, 4),
+    (0.5, 1.0, 1), (0.97, 1.0, 1),
+    (1.0, 1.0, 2), (300.0, 100.0, 4), (3.0, 2.0, 3),
+    (240.0, 100.0, 4), (11.7, 1.0, 12), (0.2 * 16, 1.0, 16),
+]
+
+
+class TestErlangCHoist:
+    @pytest.mark.parametrize("lam,mu,c", QUEUE_GRID)
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99, 0.999])
+    def test_quantile_equals_per_step_oracle(self, lam, mu, c, q):
+        assert MMcQueue(lam, mu, c).response_quantile(q) == \
+            oracle_response_quantile(lam, mu, c, q)
+
+    @pytest.mark.parametrize("lam,mu,c", QUEUE_GRID)
+    def test_repeated_queries_unchanged(self, lam, mu, c):
+        queue = MMcQueue(lam, mu, c)
+        first = (queue.p99_response(), queue.mean_response(),
+                 queue.response_tail(0.5 / mu))
+        assert (queue.p99_response(), queue.mean_response(),
+                queue.response_tail(0.5 / mu)) == first
+        assert queue.erlang_c() == MMcQueue(lam, mu, c).erlang_c()
+
+    def test_queue_is_immutable(self):
+        queue = MMcQueue(0.5, 1.0, 1)
+        with pytest.raises(AttributeError):
+            queue.arrival_rate = 0.9
